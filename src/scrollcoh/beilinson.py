@@ -14,8 +14,10 @@ positions of an Ulrich twist form the main diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
 
+from ._value import value
 from .homext import ext_line_vs_atom
 from .relative import sheaf_cohomology
 from .scroll import DivClass, Scroll
@@ -31,13 +33,13 @@ def sigma(i: int) -> tuple[int, int]:
     return (i + 1) // 2, i // 2
 
 
-@dataclass(frozen=True)
+@value
 class CollectionMember:
     atom: Atom
     shift: int = 0
 
 
-@dataclass(frozen=True)
+@value
 class Collection:
     flavor: str
     members: tuple[CollectionMember, ...]
@@ -76,7 +78,7 @@ def build_collections(scroll: Scroll) -> tuple[Collection, Collection]:
     return Collection("E", tuple(e)), Collection("F", tuple(f))
 
 
-@dataclass(frozen=True)
+@value
 class DualityReport:
     passed: bool
     violations: tuple[tuple[int, int, int, int], ...]
@@ -116,7 +118,7 @@ def atom_label(atom: Atom, latex: bool = False) -> str:
     return f"Omega^{atom.p}({u},{v})"
 
 
-@dataclass
+@value
 class BeilinsonTable:
     """A table of numbers m_{j,q} = h^{q+k_j} of the twists by the shifted
     collection, indexed by columns j and spectral rows q.
@@ -130,7 +132,7 @@ class BeilinsonTable:
     shifts: tuple[int, ...]
     f_labels: tuple[str, ...]
     e_labels: tuple[str, ...]
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], int] = MappingProxyType({})
     f_labels_tex: tuple[str, ...] = ()
     e_labels_tex: tuple[str, ...] = ()
 
@@ -196,7 +198,7 @@ def _assemble(e: Collection, f: Collection, entries: dict) -> BeilinsonTable:
         shifts=tuple(m.shift for m in e),
         f_labels=tuple(atom_label(m.atom) for m in f),
         e_labels=tuple(shifted(m, False) for m in e),
-        entries=entries,
+        entries=MappingProxyType(entries),
         f_labels_tex=tuple(atom_label(m.atom, True) for m in f),
         e_labels_tex=tuple(shifted(m, True) for m in e),
     )
@@ -217,21 +219,50 @@ def beilinson_table(scroll: Scroll, sheaf: FormalSheaf) -> BeilinsonTable:
     return _assemble(e, f, entries)
 
 
-def beilinson_table_from_profile(scroll: Scroll, profile: dict) -> BeilinsonTable:
-    """Table from caller-supplied entries {"j", "q", "h"} with q the spectral
-    row as printed; omitted entries are zero."""
-    size = 2 * scroll.n + 2
-    if "n" in profile and int(profile["n"]) != scroll.n:
-        raise ValueError(f"profile is for n = {profile['n']}, scroll has n = {scroll.n}")
+def _profile_int(record: dict, name: str) -> int:
+    if name not in record:
+        raise ValueError(f"profile record lacks {name!r}")
+    val = record[name]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"profile field {name!r} must be an integer, got {val!r}")
+    return val
+
+
+def _profile_entries(profile, size: int, n: int | None = None) -> dict[tuple[int, int], int]:
+    """Nonzero entries of a size x size table from a profile
+    {"n": ..., "entries": [{"j", "q", "h"}, ...]}, summing repeated slots.
+
+    Parsing is strict: the profile and each record must be JSON objects,
+    the entries a list, and every number a genuine integer (no bools,
+    floats or strings).  A present "n" must match ``n`` unless that is None.
+    """
+    if not isinstance(profile, dict):
+        raise ValueError("a profile must be a JSON object")
+    if "n" in profile:
+        pn = _profile_int(profile, "n")
+        if n is not None and pn != n:
+            raise ValueError(f"profile is for n = {pn}, scroll has n = {n}")
+    records = profile.get("entries", [])
+    if not isinstance(records, list):
+        raise ValueError("profile entries must be a list")
     entries: dict[tuple[int, int], int] = {}
-    for rec in profile.get("entries", []):
-        j, q, hval = int(rec["j"]), int(rec["q"]), int(rec["h"])
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise ValueError("each profile entry must be a JSON object")
+        j, q, hval = (_profile_int(rec, name) for name in ("j", "q", "h"))
         if not (0 <= j < size and 0 <= q < size):
             raise ValueError(f"profile entry out of range: j={j}, q={q}")
         if hval < 0:
             raise ValueError("profile dimensions must be nonnegative")
         if hval:
             entries[(j, q)] = entries.get((j, q), 0) + hval
+    return entries
+
+
+def beilinson_table_from_profile(scroll: Scroll, profile: dict) -> BeilinsonTable:
+    """Table from caller-supplied entries {"j", "q", "h"} with q the spectral
+    row as printed; omitted entries are zero."""
+    entries = _profile_entries(profile, 2 * scroll.n + 2, scroll.n)
     e, f = build_collections(scroll)
     return _assemble(e, f, entries)
 

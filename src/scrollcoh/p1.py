@@ -13,9 +13,10 @@ description is what the test suite enumerates against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+from ._value import value
 
 # A degree distribution: sorted ((degree, multiplicity), ...).
 _Dist = tuple[tuple[int, int], ...]
@@ -92,7 +93,7 @@ def _expand(dist: _Dist) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
+@value(order=True)
 class SplitBundle:
     """A direct sum of line bundles on P^1, as the sorted multiset of degrees."""
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import value
 from .p1 import SplitBundle
 from .tables import CohomTable
 
 
-@dataclass(frozen=True, order=True)
+@value(order=True)
 class DivClass:
     """An integral divisor class x*H + y*F in the hyperplane/fibre basis.
 
@@ -58,7 +58,7 @@ H = DivClass(1, 0)
 F = DivClass(0, 1)
 
 
-@dataclass(frozen=True, order=True)
+@value(order=True)
 class Scroll:
     """The smooth scroll S(a_0, ..., a_n) over the projective line.
 

@@ -10,14 +10,14 @@ the additive invariants rank, first Chern class and Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._value import value
 from .scroll import DivClass, Scroll
 
 
-@dataclass(frozen=True, order=True)
+@value(order=True)
 class Atom:
     """A line bundle (p = 0) or Omega^p twisted by a divisor class."""
 
@@ -63,7 +63,7 @@ def atom_c1(scroll: Scroll, atom: Atom) -> DivClass:
             + comb(scroll.n, atom.p) * atom.twist)
 
 
-@dataclass(frozen=True)
+@value
 class FormalSheaf:
     """Integer combination of atoms; merged, sorted and zero-free."""
 

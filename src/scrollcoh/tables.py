@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import value
 
 
 class IndeterminateError(RuntimeError):
@@ -12,7 +12,7 @@ class IndeterminateError(RuntimeError):
 Bound = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@value
 class CohomTable:
     """Dimensions h^0 .. h^(len-1), each an interval [lo, hi], plus exact chi.
 

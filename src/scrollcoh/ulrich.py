@@ -10,12 +10,14 @@ from numerics alone, only slopes and Hom/Ext bounds are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
-from .beilinson import (BeilinsonTable, NotDiagonalError, beilinson_table,
-                        beilinson_table_from_profile, diagonal_type)
+from ._value import value
+from .beilinson import (BeilinsonTable, NotDiagonalError, _profile_entries,
+                        beilinson_table, beilinson_table_from_profile,
+                        diagonal_type)
 from .relative import pn_omega_cohomology, sheaf_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import (Atom, FormalSheaf, atom_rank, deg_slope, omega_atom,
@@ -36,7 +38,7 @@ def block(scroll: Scroll, i: int) -> FormalSheaf:
     return FormalSheaf.of(block_atom(scroll, i))
 
 
-@dataclass(frozen=True)
+@value
 class UlrichVerdict:
     passed: bool
     rank: int
@@ -101,7 +103,7 @@ def classify(scroll: Scroll, sheaf: FormalSheaf | None = None,
     return diagonal_type(scroll, table)
 
 
-@dataclass(frozen=True)
+@value
 class TypeInfo:
     multiplicities: tuple[int, ...]
     rank: int
@@ -186,9 +188,9 @@ def veronese_table(dim: int, profile: dict | None = None,
     if (atom is None) == (profile is None):
         raise ValueError("need exactly one of an atom or a profile")
     size = dim + 1
-    entries: dict[tuple[int, int], int] = {}
     if atom is not None:
         p, k = atom
+        entries: dict[tuple[int, int], int] = {}
         for j in range(size):
             table = pn_omega_cohomology(dim, p, k - j)
             for q in range(dim + 1):
@@ -196,17 +198,11 @@ def veronese_table(dim: int, profile: dict | None = None,
                 if v:
                     entries[(j, q)] = v
     else:
-        for rec in profile.get("entries", []):
-            j, q, hval = int(rec["j"]), int(rec["q"]), int(rec["h"])
-            if not (0 <= j < size and 0 <= q < size):
-                raise ValueError(f"profile entry out of range: j={j}, q={q}")
-            if hval < 0:
-                raise ValueError("profile dimensions must be nonnegative")
-            if hval:
-                entries[(j, q)] = entries.get((j, q), 0) + hval
+        entries = _profile_entries(profile, size)
     f_plain, f_tex, e_plain, e_tex = _pn_labels(dim)
     return BeilinsonTable(shifts=(0,) * size, f_labels=f_plain, e_labels=e_plain,
-                          entries=entries, f_labels_tex=f_tex, e_labels_tex=e_tex)
+                          entries=MappingProxyType(entries), f_labels_tex=f_tex,
+                          e_labels_tex=e_tex)
 
 
 def veronese_classify(table: BeilinsonTable) -> int:

@@ -1,7 +1,11 @@
 """Command line front end: parsing, dispatch, formats and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +139,48 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+
+
+_BAD_PROFILES = {
+    "not-an-object": [],
+    "entries-not-a-list": {"entries": {"j": 1, "q": 1, "h": 1}},
+    "record-not-an-object": {"entries": [[1, 1, 1]]},
+    "n-bool": {"n": True, "entries": []},
+    "n-float": {"n": 1.0, "entries": []},
+    "n-string": {"n": "1", "entries": []},
+    "j-float": {"entries": [{"j": 1.7, "q": 1, "h": 1}]},
+    "q-string": {"entries": [{"j": 1, "q": "1", "h": 1}]},
+    "h-bool": {"entries": [{"j": 1, "q": 1, "h": True}]},
+    "h-float": {"entries": [{"j": 1, "q": 1, "h": 2.0}]},
+    "j-and-h-coerced": {"entries": [{"j": 1.7, "q": 1, "h": True}]},
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "beilinson", "veronese"])
+@pytest.mark.parametrize("name", sorted(_BAD_PROFILES))
+def test_malformed_profile_exits_one(capsys, tmp_path, command, name):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(_BAD_PROFILES[name]))
+    where = ["--dim", "2"] if command == "veronese" else ["--scroll", "1,2"]
+    code, out, err = run(capsys, command, *where, "--profile", str(profile))
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "profile" in err and "Traceback" not in err
+
+
+def test_output_is_identical_across_hash_seeds(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(
+        {"n": 2, "entries": [{"j": 1, "q": 1, "h": 1}, {"j": 4, "q": 4, "h": 2}]}))
+    commands = [["beilinson", "--scroll", "1,1,2", "--type", "0,1,1", "--format", "md"],
+                ["classify", "--scroll", "1,1,1", "--profile", str(profile)],
+                ["enumerate", "--scroll", "1,1,1,2", "--rank", "4"]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "scrollcoh.cli", *argv],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0], argv

@@ -1,0 +1,142 @@
+"""The value-type contract: immutability, and equality, hashing, ordering and
+repr that agree with a ``dataclasses`` twin of each class.
+
+``dataclasses`` serves only as the oracle here; the package itself must not
+import it, because it is the largest part of the command line start-up.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from scrollcoh import (Atom, BeilinsonTable, CohomTable, Collection,
+                       CollectionMember, DivClass, DualityReport, FormalSheaf,
+                       Scroll, SplitBundle, TypeInfo, UlrichVerdict,
+                       beilinson_table, is_ulrich, type_info, type_sheaf,
+                       verify_duality, veronese_table)
+from scrollcoh.beilinson import build_collections
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fields(cls):
+    return tuple(cls.__annotations__)
+
+
+def _public_values():
+    S = Scroll((1, 2))
+    e, _ = build_collections(S)
+    return [
+        SplitBundle((1, 2)), DivClass(1, 2), S, CohomTable.exact((1, 0, 0)),
+        Atom(1, DivClass(0, 1)), FormalSheaf.of(Atom(0, DivClass(1, 0))),
+        e[0], e, verify_duality(S), beilinson_table(S, type_sheaf(S, (1, 0))),
+        veronese_table(2, atom=(1, 1)), is_ulrich(S, type_sheaf(S, (1, 1))),
+        type_info(S, (1, 1)),
+    ]
+
+
+def test_every_public_value_type_is_covered():
+    covered = {type(v) for v in _public_values()}
+    assert covered == {SplitBundle, DivClass, Scroll, CohomTable, Atom,
+                       FormalSheaf, CollectionMember, Collection,
+                       DualityReport, BeilinsonTable, UlrichVerdict, TypeInfo}
+
+
+@pytest.mark.parametrize("obj", _public_values(), ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned_or_deleted(obj):
+    for name in _fields(type(obj)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+def test_table_entries_are_read_only():
+    for table in _public_values():
+        if isinstance(table, BeilinsonTable):
+            with pytest.raises(TypeError):
+                table.entries[(0, 0)] = 1
+
+
+# -- dataclasses as the oracle -------------------------------------------------
+
+_ORDERED = (DivClass, Scroll, Atom, SplitBundle)
+
+
+def _twin_class(cls):
+    twin = dataclasses.make_dataclass(cls.__name__, _fields(cls), frozen=True,
+                                      order=cls in _ORDERED)
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+_TWINS = {cls: _twin_class(cls) for cls in _ORDERED + (CohomTable,)}
+
+
+def twin(obj):
+    cls = type(obj)
+    return _TWINS[cls](*(getattr(obj, n) for n in _fields(cls)))
+
+
+small = st.integers(-2, 2)
+div_classes = st.builds(DivClass, small, small)
+scrolls = st.lists(st.integers(1, 3), min_size=2, max_size=4).map(Scroll)
+atoms = st.builds(Atom, st.integers(0, 2), div_classes)
+split_bundles = st.lists(small, max_size=4).map(SplitBundle)
+
+
+@st.composite
+def cohom_tables(draw):
+    bounds = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                           min_size=1, max_size=4))
+    bounds = tuple((lo, lo + w) for lo, w in bounds)
+    if all(lo == hi for lo, hi in bounds):
+        chi = sum((-1) ** i * lo for i, (lo, _) in enumerate(bounds))
+    else:
+        chi = draw(small)
+    return CohomTable(bounds, chi)
+
+
+values = st.one_of(div_classes, scrolls, atoms, split_bundles, cohom_tables())
+
+
+@given(values, values)
+def test_agrees_with_dataclass_twin(x, y):
+    tx = twin(x)
+    assert repr(x) == repr(tx)
+    assert hash(x) == hash(tx)
+    assert x != tx and tx != x
+    if type(x) is not type(y):
+        assert x != y and not x == y
+        return
+    ty = twin(y)
+    assert (x == y) == (tx == ty)
+    assert (x != y) == (tx != ty)
+    if type(x) in _ORDERED:
+        assert (x < y, x <= y, x > y, x >= y) == (tx < ty, tx <= ty, tx > ty, tx >= ty)
+
+
+@given(values)
+def test_never_equal_to_another_class_with_the_same_fields(x):
+    fields = tuple(getattr(x, n) for n in _fields(type(x)))
+    assert x != fields and fields != x
+    by_keyword = type(x)(**dict(zip(_fields(type(x)), fields)))
+    assert x == type(x)(*fields) == by_keyword
+    assert hash(x) == hash(by_keyword)
+
+
+def test_cli_import_does_not_load_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import scrollcoh.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120).stdout
+    assert out.strip() == "False"
