@@ -2,11 +2,12 @@
 normal scrolls.
 
 All engines work over the integers: split-bundle calculus on the base line,
-the three-regime line bundle cohomology on the scroll, pushforwards of
-twisted relative differentials, Koszul resolutions with interval-valued
-dimension chases, the full exceptional collection with its right dual,
-Beilinson tables, and the classification of Ulrich bundles by filtration
-multiplicities.  Everything is pure and deterministic over immutable values.
+pushforwards of twisted relative differentials through the fibrewise Bott
+regimes (line bundles being the case p = 0), Koszul resolutions with
+interval-valued dimension chases, the full exceptional collection with its
+right dual, Beilinson tables, and the classification of Ulrich bundles by
+filtration multiplicities.  Everything is pure and deterministic over
+immutable values.
 """
 
 from .p1 import SplitBundle, hook_rank

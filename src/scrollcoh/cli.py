@@ -65,11 +65,22 @@ def _parse_div(text: str) -> DivClass:
     return DivClass(h, f)
 
 
-def _divisor_from(args) -> DivClass:
-    given = [x for x in (args.div, args.pair) if x is not None]
+def _one_of(args, what: str, *names: str) -> str:
+    """The one option among ``names`` that was given; ValueError otherwise."""
+    given = [name for name in names if getattr(args, name) is not None]
     if len(given) != 1:
-        raise ValueError("give the divisor exactly once, via --div or --pair")
-    if args.div is not None:
+        flags = " or ".join(f"--{name}" for name in names)
+        raise ValueError(f"give the {what} exactly once, via {flags}")
+    return given[0]
+
+
+def _check_p(p: int, top: int, name: str) -> None:
+    if not 0 <= p <= top:
+        raise ValueError(f"--p must lie in 0..{name} (0..{top} here), got {p}")
+
+
+def _divisor_from(args) -> DivClass:
+    if _one_of(args, "divisor", "div", "pair") == "div":
         return _parse_div(args.div)
     u, v = _parse_ints(args.pair)
     return DivClass.from_pair(u, v)
@@ -107,11 +118,10 @@ def _fallback_latex(payload: dict) -> str:
             + "\n\\end{verbatim}")
 
 
-def _h_table_md(values, chi) -> str:
-    header = "| " + " | ".join(f"h^{i}" for i in range(len(values))) + " | chi |"
-    sep = "|" + " --- |" * (len(values) + 1)
-    row = "| " + " | ".join(str(v) for v in values) + f" | {chi} |"
-    return "\n".join([header, sep, row])
+def _md_table(header, rows) -> str:
+    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
+    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return "\n".join(lines)
 
 
 def _h_table_latex(values, chi) -> str:
@@ -122,29 +132,23 @@ def _h_table_latex(values, chi) -> str:
                       r"\hline", row, r"\hline", r"\end{tabular}"])
 
 
-def _cmd_line_coh(args) -> int:
+def _cmd_coh(args) -> int:
+    """line-coh and omega-coh: a line bundle is the case p = 0."""
     scroll = Scroll(_parse_ints(args.scroll))
+    result = {}
+    if args.command == "omega-coh":
+        if args.p is None:
+            raise ValueError("omega-coh needs --p")
+        _check_p(args.p, scroll.n, "n")
+        result["p"] = args.p
     div = _divisor_from(args)
-    table = scroll.line_cohomology(div)
-    result = {"div": _div_payload(div), "pair": list(div.pair()),
-              "h": list(table.values()), "chi": table.chi}
-    payload = {"command": "line-coh", "scroll": list(scroll.degrees), "result": result}
-    _emit(args, payload, _h_table_md(result["h"], table.chi),
-          _h_table_latex(result["h"], table.chi))
-    return EXIT_OK
-
-
-def _cmd_omega_coh(args) -> int:
-    scroll = Scroll(_parse_ints(args.scroll))
-    if args.p is None:
-        raise ValueError("omega-coh needs --p")
-    div = _divisor_from(args)
-    table = omega_cohomology(scroll, args.p, div)
-    result = {"p": args.p, "div": _div_payload(div), "pair": list(div.pair()),
-              "h": list(table.values()), "chi": table.chi}
-    payload = {"command": "omega-coh", "scroll": list(scroll.degrees), "result": result}
-    _emit(args, payload, _h_table_md(result["h"], table.chi),
-          _h_table_latex(result["h"], table.chi))
+    table = omega_cohomology(scroll, result.get("p", 0), div)
+    h = list(table.values())
+    result.update(div=_div_payload(div), pair=list(div.pair()), h=h, chi=table.chi)
+    payload = {"command": args.command, "scroll": list(scroll.degrees), "result": result}
+    header = [f"h^{i}" for i in range(len(h))] + ["chi"]
+    _emit(args, payload, _md_table(header, [h + [table.chi]]),
+          _h_table_latex(h, table.chi))
     return EXIT_OK
 
 
@@ -161,20 +165,13 @@ def _cmd_blocks(args) -> int:
                      "ulrich": verdict.passed})
     payload = {"command": "blocks", "scroll": list(scroll.degrees),
                "result": {"blocks": rows}}
-    md_lines = ["| i | atom | rank | deg | slope | h0 | ulrich |",
-                "|" + " --- |" * 7]
-    for r in rows:
-        md_lines.append(f"| {r['i']} | {r['atom']} | {r['rank']} | {r['deg']} "
-                        f"| {r['slope']} | {r['h0']} | {r['ulrich']} |")
-    _emit(args, payload, "\n".join(md_lines))
+    header = ["i", "atom", "rank", "deg", "slope", "h0", "ulrich"]
+    _emit(args, payload, _md_table(header, [[r[k] for k in header] for r in rows]))
     return EXIT_OK
 
 
 def _table_for(args, scroll: Scroll):
-    given = [x for x in (args.type, args.profile) if x is not None]
-    if len(given) != 1:
-        raise ValueError("give the input exactly once, via --type or --profile")
-    if args.type is not None:
+    if _one_of(args, "input", "type", "profile") == "type":
         sheaf = type_sheaf(scroll, _parse_ints(args.type))
         return beilinson_table(scroll, sheaf.twist(-H))
     return beilinson_table_from_profile(scroll, _load_profile(args.profile))
@@ -191,10 +188,7 @@ def _cmd_beilinson(args) -> int:
 
 def _cmd_classify(args) -> int:
     scroll = Scroll(_parse_ints(args.scroll))
-    given = [x for x in (args.type, args.profile) if x is not None]
-    if len(given) != 1:
-        raise ValueError("give the input exactly once, via --type or --profile")
-    if args.type is not None:
+    if _one_of(args, "input", "type", "profile") == "type":
         mults = classify(scroll, sheaf=type_sheaf(scroll, _parse_ints(args.type)))
     else:
         mults = classify(scroll, profile=_load_profile(args.profile))
@@ -203,30 +197,24 @@ def _cmd_classify(args) -> int:
               "c1": _div_payload(info.c1), "h0": info.h0,
               "slope": _frac(info.slope)}
     payload = {"command": "classify", "scroll": list(scroll.degrees), "result": result}
-    md = ("| type | rank | c1 | h0 | slope |\n|" + " --- |" * 5 + "\n"
-          f"| {','.join(str(a) for a in info.multiplicities)} | {info.rank} "
-          f"| {info.c1} | {info.h0} | {result['slope']} |")
-    _emit(args, payload, md)
+    row = [",".join(str(a) for a in info.multiplicities), info.rank, info.c1,
+           info.h0, result["slope"]]
+    _emit(args, payload, _md_table(["type", "rank", "c1", "h0", "slope"], [row]))
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
     scroll = Scroll(_parse_ints(args.scroll))
-    given = [x for x in (args.rank, args.h0) if x is not None]
-    if len(given) != 1:
-        raise ValueError("give the target exactly once, via --rank or --h0")
+    target = _one_of(args, "target", "rank", "h0")
     infos = enumerate_types(scroll, rank=args.rank, h0=args.h0)
     rows = [{"type": list(t.multiplicities), "rank": t.rank,
              "c1": _div_payload(t.c1), "h0": t.h0, "slope": _frac(t.slope),
              "line_blocks": list(t.line_block_positions)} for t in infos]
-    target = {"rank": args.rank} if args.rank is not None else {"h0": args.h0}
     payload = {"command": "enumerate", "scroll": list(scroll.degrees),
-               "result": {"target": target, "types": rows}}
-    md_lines = ["| type | rank | h0 | slope | line blocks |", "|" + " --- |" * 5]
-    for r in rows:
-        md_lines.append(f"| {','.join(str(a) for a in r['type'])} | {r['rank']} "
-                        f"| {r['h0']} | {r['slope']} | {r['line_blocks']} |")
-    _emit(args, payload, "\n".join(md_lines))
+               "result": {"target": {target: getattr(args, target)}, "types": rows}}
+    md_rows = [[",".join(str(a) for a in r["type"]), r["rank"], r["h0"], r["slope"],
+                r["line_blocks"]] for r in rows]
+    _emit(args, payload, _md_table(["type", "rank", "h0", "slope", "line blocks"], md_rows))
     return EXIT_OK
 
 
@@ -309,10 +297,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_veronese(args) -> int:
-    given = [x for x in (args.p, args.profile) if x is not None]
-    if len(given) != 1:
-        raise ValueError("give the input exactly once, via --p/--twist or --profile")
-    if args.p is not None:
+    if _one_of(args, "input", "p", "profile") == "p":
+        _check_p(args.p, args.dim, "dim")
         table = veronese_table(args.dim, atom=(args.p, args.twist))
     else:
         table = veronese_table(args.dim, profile=_load_profile(args.profile))
@@ -341,13 +327,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("line-coh", help="cohomology of a line bundle")
     common(p); divisor(p)
-    p.set_defaults(handler=_cmd_line_coh)
+    p.set_defaults(handler=_cmd_coh)
 
     p = sub.add_parser("omega-coh",
                        help="cohomology of twisted relative differentials")
     common(p); divisor(p)
-    p.add_argument("--p", type=int, help="exterior power index")
-    p.set_defaults(handler=_cmd_omega_coh)
+    p.add_argument("--p", type=int, help="exterior power index, 0..n")
+    p.set_defaults(handler=_cmd_coh)
 
     p = sub.add_parser("blocks", help="the building blocks and their invariants")
     common(p)
@@ -382,7 +368,7 @@ def _build_parser() -> _Parser:
                                         "the degree-two polarisation")
     common(p, scroll=False)
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p.add_argument("--p", type=int, help="differential index of the input atom")
+    p.add_argument("--p", type=int, help="differential index of the input atom, 0..dim")
     p.add_argument("--twist", type=int, default=0, help="twist of the input atom")
     p.add_argument("--profile", help="path to a profile JSON file")
     p.set_defaults(handler=_cmd_veronese)

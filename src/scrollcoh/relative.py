@@ -19,17 +19,27 @@ from .sheaves import Atom, FormalSheaf, line_atom
 from .tables import CohomTable, solve_quotient, solve_sub
 
 
-def fiber_degree(n: int, p: int, a: int) -> int | None:
-    """The unique degree where H^*(P^n, Omega^p(a)) can survive, if any."""
+def _bott(n: int, p: int, a: int) -> tuple[int, int, int] | None:
+    """Fibrewise Bott regime of Omega^p(a) on P^n: (q0, m, r), or None.
+
+    q0 is the one degree where cohomology survives and (m, 1^r) the hook
+    shape of what survives there; m = 0 stands for the trace line at a = 0.
+    """
     if not 0 <= p <= n:
         return None
     if a >= p + 1:
-        return 0
+        return 0, a - p, p
     if a == 0:
-        return p
+        return p, 0, 0
     if a <= p - n - 1:
-        return n
+        return n, -a - (n - p), n - p
     return None
+
+
+def fiber_degree(n: int, p: int, a: int) -> int | None:
+    """The unique degree where H^*(P^n, Omega^p(a)) can survive, if any."""
+    regime = _bott(n, p, a)
+    return None if regime is None else regime[0]
 
 
 def rel_pushforward(scroll: Scroll, p: int, div: DivClass) -> tuple[int | None, SplitBundle]:
@@ -42,27 +52,22 @@ def rel_pushforward(scroll: Scroll, p: int, div: DivClass) -> tuple[int | None, 
     degree p at a = 0; and, for a <= p-n-1, the relative-duality dual of the
     complementary hook in degree n.
     """
-    n = scroll.n
-    a, b = div.h, div.f
-    if not 0 <= p <= n:
+    regime = _bott(scroll.n, p, div.h)
+    if regime is None:
         return None, SplitBundle()
-    if a >= p + 1:
-        return 0, scroll.bundle.hook(a - p, p).twist(b)
-    if a == 0:
-        return p, SplitBundle((b,))
-    if a <= p - n - 1:
-        return n, scroll.bundle.hook(-a - (n - p), n - p).twist(-b).dual()
-    return None, SplitBundle()
+    q0, m, r = regime
+    if m == 0:
+        return q0, SplitBundle((div.f,))
+    if q0 == 0:
+        return 0, scroll.bundle.hook(m, r).twist(div.f)
+    return q0, scroll.bundle.hook(m, r).twist(-div.f).dual()
 
 
 @lru_cache(maxsize=None)
 def omega_cohomology(scroll: Scroll, p: int, div: DivClass) -> CohomTable:
     """Exact h^*(S, Omega^p_{S|P^1}(div)) via Leray over the base line."""
-    n = scroll.n
-    if not 0 <= p <= n:
-        return CohomTable.zero(n + 2)
     q0, push = rel_pushforward(scroll, p, div)
-    vals = [0] * (n + 2)
+    vals = [0] * (scroll.n + 2)
     if q0 is not None:
         vals[q0] = push.h0
         vals[q0 + 1] = push.h1
@@ -144,11 +149,8 @@ def pn_omega_cohomology(n: int, p: int, k: int) -> CohomTable:
     if n < 1:
         raise ValueError("need n >= 1")
     vals = [0] * (n + 1)
-    if 0 <= p <= n:
-        if k >= p + 1:
-            vals[0] = hook_rank(n + 1, k - p, p)
-        elif k == 0:
-            vals[p] = 1
-        elif k <= p - n - 1:
-            vals[n] = hook_rank(n + 1, -k - (n - p), n - p)
+    regime = _bott(n, p, k)
+    if regime is not None:
+        q0, m, r = regime
+        vals[q0] = hook_rank(n + 1, m, r) if m else 1
     return CohomTable.exact(vals)

@@ -1,4 +1,9 @@
-"""Rational normal scrolls, divisor classes and line bundle cohomology."""
+"""Rational normal scrolls, divisor classes and line bundle cohomology.
+
+Line bundle cohomology is the p = 0 case of the relative-differential
+pushforward engine in ``scrollcoh.relative``; ``line_cohomology`` and the
+``Scroll`` conveniences built on it only name that case.
+"""
 
 from __future__ import annotations
 
@@ -119,22 +124,10 @@ class Scroll:
 
 @lru_cache(maxsize=None)
 def line_cohomology(scroll: Scroll, div: DivClass) -> CohomTable:
-    """Exact h^*(S, O(div)) from the three fibre-degree regimes.
+    """Exact h^*(S, O(div)): the relative differentials of degree p = 0.
 
-    Writing div = a*H + b*F: for a >= 0 the pushforward Sym^a E(b) carries
-    all cohomology in degrees 0 and 1; for -n-1 < a < 0 everything vanishes;
-    for a <= -n-1 only degrees n and n+1 survive, their dimensions read off
-    Sym^{-a-n-1} E(c-b-2) on the base line (the dual range, dimensions only).
+    The pushforward engine of ``scrollcoh.relative`` covers line bundles as
+    its p = 0 case; this cache fronts it under the line bundle name.
     """
-    a, b = div.h, div.f
-    n = scroll.n
-    vals = [0] * (n + 2)
-    if a >= 0:
-        push = scroll.bundle.sym(a).twist(b)
-        vals[0] = push.h0
-        vals[1] = push.h1
-    elif a <= -n - 1:
-        rev = scroll.bundle.sym(-a - n - 1).twist(scroll.c - b - 2)
-        vals[n] = rev.h1
-        vals[n + 1] = rev.h0
-    return CohomTable.exact(vals)
+    from .relative import omega_cohomology  # relative imports this module
+    return omega_cohomology(scroll, 0, div)

@@ -50,3 +50,31 @@ def brute_hook_degrees(degs, m, p):
         for row in combinations_with_replacement(range(corner, len(degs)), m - 1):
             out.append(sum(degs[t] for t in col) + sum(degs[r] for r in row))
     return tuple(sorted(out))
+
+
+def _h0(degrees):
+    return sum(d + 1 for d in degrees if d >= 0)
+
+
+def _h1(degrees):
+    return sum(-d - 1 for d in degrees if d <= -2)
+
+
+def line_cohomology_oracle(scroll, div):
+    """h^*(S, O(aH + bF)) from the three fibre-degree regimes, with the
+    pushforwards Sym^a E(b) enumerated multiset by multiset.
+
+    For a >= 0 all cohomology sits in degrees 0 and 1 and is read off
+    Sym^a E(b); for -n-1 < a < 0 everything vanishes; for a <= -n-1 only
+    degrees n and n+1 survive, read off Sym^{-a-n-1} E(c-b-2) by relative
+    duality.
+    """
+    a, b, n = div.h, div.f, scroll.n
+    vals = [0] * (n + 2)
+    if a >= 0:
+        push = [d + b for d in brute_sym_degrees(scroll.degrees, a)]
+        vals[0], vals[1] = _h0(push), _h1(push)
+    elif a <= -n - 1:
+        rev = [d + scroll.c - b - 2 for d in brute_sym_degrees(scroll.degrees, -a - n - 1)]
+        vals[n], vals[n + 1] = _h1(rev), _h0(rev)
+    return tuple(vals)

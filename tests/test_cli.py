@@ -1,5 +1,6 @@
 """Command line front end: parsing, dispatch, formats and exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -184,3 +185,108 @@ def test_output_is_identical_across_hash_seeds(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0], argv
+
+
+# Exit code and sha256 of stdout, pinning the exact bytes every renderer
+# prints: every command in every format, line-coh in the sections, trace,
+# vanishing and dual regimes, and omega-coh at p = 0 and p = n.  PROFILE and
+# VPROFILE stand for the profile files the test writes.
+_GOLDEN_STDOUT = {
+    ('line-coh --scroll 1,2 --pair 2,2', 'json'): (0, "4a5ed23dea85876c758ff90609448c4366f2d8d773e876d8b1f8c596679dd188"),
+    ('line-coh --scroll 1,2 --pair 2,2', 'md'): (0, "9ed5dd14fe9fdad6cc1f014d2f20ec0e8bfcce6937550be97832de15f62b29fa"),
+    ('line-coh --scroll 1,2 --pair 2,2', 'latex'): (0, "5ff10e9094251cc61c394f01a68e4d781ddd8dd1babe9e3827fe8e67ff530d1a"),
+    ('omega-coh --scroll 1,1,1 --p 1 --pair 1,2', 'json'): (0, "20b2dc732d551e8a68e0d99d49143647f6548a8d98823fe083a7212f28920e97"),
+    ('omega-coh --scroll 1,1,1 --p 1 --pair 1,2', 'md'): (0, "7cc22578d94cc7566978abc738b31990919785483a4610644b6bed606736d078"),
+    ('omega-coh --scroll 1,1,1 --p 1 --pair 1,2', 'latex'): (0, "0314982ea0a377474e4908a8bf19c31ac8700202974998c64b2da84c4721ee06"),
+    ('blocks --scroll 1,2,3', 'json'): (0, "de35923f40415824e36df5f4e4bfc11b75da41fcdb0186c8943fc3d7ae04f077"),
+    ('blocks --scroll 1,2,3', 'md'): (0, "0f113b9bac2583939e0e045650e8fba1447756873cfc48c6bc925e692126dfc9"),
+    ('blocks --scroll 1,2,3', 'latex'): (0, "edd218e9348c8a9fc69a1f1c2484ff7de7886284d3033585138eb7a0326d3b36"),
+    ('beilinson --scroll 1,1,1 --type 1,0,1', 'json'): (0, "6e318b6a32d2ceb487693192950d363776f70146cfaa802237d36b24157a1b7c"),
+    ('beilinson --scroll 1,1,1 --type 1,0,1', 'md'): (0, "8d036b2965464a47cdb6c945084f4e0d718209469ed1a7758b643b5b93e7612a"),
+    ('beilinson --scroll 1,1,1 --type 1,0,1', 'latex'): (0, "abe5919dc52c4d6a132b9fab90946aa92a8810b3f2488cd552cc3f02984d1791"),
+    ('classify --scroll 1,1,2 --type 1,1,0', 'json'): (0, "f70a03d2b140f51a589457383c4d638d70403fe3f1066f6c5ec197b6967689d7"),
+    ('classify --scroll 1,1,2 --type 1,1,0', 'md'): (0, "757d8429859dcdca2c3cad768f3cb59f7fe27b2c01b7b085337ae053a3f50e71"),
+    ('classify --scroll 1,1,2 --type 1,1,0', 'latex'): (0, "60dd110d123520a30dc208b3606009118271fc7064bca627382aa9df8be869ef"),
+    ('enumerate --scroll 1,1,1 --rank 2', 'json'): (0, "cef2ddf745506866172bc4110b5eb687dfea91416e3819bdeebca59ccaa9c09b"),
+    ('enumerate --scroll 1,1,1 --rank 2', 'md'): (0, "c58451746f625773242a8f0fef73f4b464ae4bd2f4be6aec48e40d56d110b4c4"),
+    ('enumerate --scroll 1,1,1 --rank 2', 'latex'): (0, "184f09e662162275df5818791bc01246407b47613b25a7192cb1db265981dee8"),
+    ('verify --suite duality --scroll 1,1,2', 'json'): (0, "2775a174f43ab31c855da7cb7ea811bb4970cbd32fbf1d8e05d0d7b1c7600838"),
+    ('verify --suite duality --scroll 1,1,2', 'md'): (0, "4ff7c55efec374f0a4bd9ee769c024aaac423d929e23d5d77ed9c91a9c245ba6"),
+    ('verify --suite duality --scroll 1,1,2', 'latex'): (0, "84d072b0ad69a84f7c63c797e9189e1f3c2c179b4b5954454a1764d81a0358b7"),
+    ('veronese --dim 2 --p 1 --twist 1', 'json'): (0, "928fd48ef32f91d5358f6a5a5f9a8d5c7b92cfd25ca4641870116003407dcb62"),
+    ('veronese --dim 2 --p 1 --twist 1', 'md'): (0, "a27584ca40bcf674617d06de2bbbe305671a378396011b8390d3e44838136517"),
+    ('veronese --dim 2 --p 1 --twist 1', 'latex'): (0, "70f1fb9f5beefede8d7010066a4a3526c0cfabcad9455fcf182be273af594db5"),
+    ('line-coh --scroll 1,2,3 --div 3H-2F', 'json'): (0, "b8dab13d0855e28a3126446411d5fd414a263d0ee6f58926947cac4cedb943c4"),
+    ('line-coh --scroll 1,2,3 --div 3H-2F', 'md'): (0, "620a60e2218493d732eed7cdabfef3fa84159d61b97545f8b206c2e2b203f54e"),
+    ('line-coh --scroll 1,2,3 --div 3H-2F', 'latex'): (0, "f188ee94a83ab65651524e72e3ecebf0304d8ac3a834d4e85016747f39fd1107"),
+    ('line-coh --scroll 1,2,3 --div=-5F', 'json'): (0, "aab32bdf9e32fc387ac2c0cf374da40fe847df6bbff10df0bb6c500284a5c48e"),
+    ('line-coh --scroll 1,2,3 --div=-5F', 'md'): (0, "9c3a167d7a3325638b184c650f3e5591d8157752f791f7f9b74540ed5544ac0c"),
+    ('line-coh --scroll 1,2,3 --div=-5F', 'latex'): (0, "31810c85c5db0bf98612d903567f04bbf70bf71891b40eefd04c4044ca3da0a3"),
+    ('line-coh --scroll 1,2,3 --div=-4H+3F', 'json'): (0, "0ac12164c225fea95f787bcfe5f5463adbb4e935b5903c476c2ddebf374e2fb1"),
+    ('line-coh --scroll 1,2,3 --div=-4H+3F', 'md'): (0, "780c7d2de9587ff0ce4b8fdd1f38b7f33eb562631330eab3d343e4197b3de69f"),
+    ('line-coh --scroll 1,2,3 --div=-4H+3F', 'latex'): (0, "45358eb1a0a905a2992723763e26dda97e1ba07d972e91e683acce11a15f38cf"),
+    ('line-coh --scroll 1,2,3 --div=-2H+3F', 'json'): (0, "410aefc12fb1286b71fc2fde944b740b4239464d6051f8bac1f8cd2afafbdf8d"),
+    ('line-coh --scroll 1,2,3 --div=-2H+3F', 'md'): (0, "3a2691a961aa3d0b066d719342a6fc1c9146a795aabebcd59cd7312bf2848135"),
+    ('line-coh --scroll 1,2,3 --div=-2H+3F', 'latex'): (0, "181e590d0314fdb08322db6f9c9d35c4bbf4a9a7083e13389a1eb8fcda00a32c"),
+    ('omega-coh --scroll 1,2,3 --p 0 --div 2H-F', 'json'): (0, "52bc77be222bbc140341a36ee6b4bdf8f82df97d16afd2cdf16d6b0462dbcd10"),
+    ('omega-coh --scroll 1,2,3 --p 0 --div 2H-F', 'md'): (0, "2621bec398dc0b33dbfa340ba706cb1c531ba90d2d2b5fab4115880479db966c"),
+    ('omega-coh --scroll 1,2,3 --p 0 --div 2H-F', 'latex'): (0, "c3dd3ccccfa575b63933776a72f4d5d6b1160d5a6f81bdb00e79a6ade04300dc"),
+    ('omega-coh --scroll 1,2,3 --p 2 --div=-3H+F', 'json'): (0, "7b791acb41d574e367286816ca26e18dde1a39418170d747da34d8b10ba08bf2"),
+    ('omega-coh --scroll 1,2,3 --p 2 --div=-3H+F', 'md'): (0, "57d9575639138143fd77097ad06a4a466e0cd12104992cb60cc208eaebb9f0b1"),
+    ('omega-coh --scroll 1,2,3 --p 2 --div=-3H+F', 'latex'): (0, "65a57f27a75a367d6dd4785cd76226e2bc304c47fbd439c6bdb53707aad94e52"),
+    ('omega-coh --scroll 1,2,3 --p 2 --div 4H+2F', 'json'): (0, "393126a5fe91d4e475f13763737c8c108faf9657e878cb1dbda14577f7d81f7d"),
+    ('omega-coh --scroll 1,2,3 --p 2 --div 4H+2F', 'md'): (0, "24c3377cf10f3a3ccc6c27ba25764122598b23b5af08500e3d90571dd897a989"),
+    ('omega-coh --scroll 1,2,3 --p 2 --div 4H+2F', 'latex'): (0, "f14e05a2880934c53bee449fb0b72ebcb4fe24f4204126d064e1865af57f2140"),
+    ('classify --scroll 1,1,1 --profile PROFILE', 'json'): (0, "3c09fac5d68e86592df056b8e22791946b52d6264b01c7d7b178becb61b9ae23"),
+    ('classify --scroll 1,1,1 --profile PROFILE', 'md'): (0, "db6d58b359859011829aa6361bdf16950e010c63f8162564ca29a71db8a25b5b"),
+    ('classify --scroll 1,1,1 --profile PROFILE', 'latex'): (0, "a37cdf7cfb681eb63c16eec92b8ccd19ced372c69359f7732a479e886c4c8f72"),
+    ('beilinson --scroll 1,1,1 --profile PROFILE', 'json'): (0, "8abd30a7865fb9e628e03a65ea5782f0edc9cdde5524f1817a5cd948afbc9730"),
+    ('beilinson --scroll 1,1,1 --profile PROFILE', 'md'): (0, "701356fb277eb0b2f8ffe16a0197756622cae29baf4ee2061a84e763f4c32549"),
+    ('beilinson --scroll 1,1,1 --profile PROFILE', 'latex'): (0, "51f92f15ec0ac8449d6a458d5a7dd0d87fa77fe3ac4d73a8efffab7e01171ba7"),
+    ('veronese --dim 3 --profile VPROFILE', 'json'): (0, "b50dd82c7acce02a7fbba391b038acb28cb0ae462fc5098ab0d6010bbb40508e"),
+    ('veronese --dim 3 --profile VPROFILE', 'md'): (0, "556b9345d21e63f7f582d1e5dcc8edf853014af084f4cb35a6d2485c0da3b7d6"),
+    ('veronese --dim 3 --profile VPROFILE', 'latex'): (0, "7a302c19be34d32304e93c402cccbcf295ef782970560e2c5d15b144d4cca77d"),
+    ('enumerate --scroll 1,2 --h0 6', 'json'): (0, "3b5d48b4e1164f1109e5e60cba6fb746dafea734a41d1f1b639ac6272b7c0a59"),
+    ('enumerate --scroll 1,2 --h0 6', 'md'): (0, "f994a6851cd8ecb877a9298cdfc73466f16dd6eb4097e89a83ee822734c0dc22"),
+    ('enumerate --scroll 1,2 --h0 6', 'latex'): (0, "647ad6ccabce788c2b5bf1fb7521f5ed516aaa57506de20c92926e8274491db3"),
+}
+_PROFILES = {
+    "PROFILE": {"n": 2, "entries": [{"j": 1, "q": 1, "h": 1}, {"j": 4, "q": 4, "h": 2}]},
+    "VPROFILE": {"entries": [{"j": 1, "q": 1, "h": 2}]},
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(_GOLDEN_STDOUT))
+def test_stdout_matches_golden_digest(capsys, tmp_path, argv, fmt):
+    paths = {}
+    for name, profile in _PROFILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(profile))
+    args = [str(paths.get(a, a)) for a in argv.split()] + ["--format", fmt]
+    code, out, err = run(capsys, *args)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _GOLDEN_STDOUT[argv, fmt], err
+
+
+@pytest.mark.parametrize("argv,allowed", [
+    (["omega-coh", "--scroll", "1,2,3", "--p", "7", "--div", "H"], "0..n (0..2 here)"),
+    (["omega-coh", "--scroll", "1,2,3", "--p", "-1", "--div", "H"], "0..n (0..2 here)"),
+    (["omega-coh", "--scroll", "1,2", "--p", "2", "--pair", "1,1"], "0..n (0..1 here)"),
+    (["veronese", "--dim", "2", "--p", "5"], "0..dim (0..2 here)"),
+    (["veronese", "--dim", "3", "--p", "-1", "--twist", "1"], "0..dim (0..3 here)"),
+])
+def test_out_of_range_p_exits_one(capsys, argv, allowed):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: --p must lie in ") and allowed in err
+
+
+def test_p_at_the_ends_of_its_range(capsys):
+    # p = 0 is the line bundle itself, p = n its twist by K_rel = -3H+6F
+    line = run_json(capsys, "line-coh", "--scroll", "1,2,3", "--div", "2H-F")
+    low = run_json(capsys, "omega-coh", "--scroll", "1,2,3", "--p", "0", "--div", "2H-F")
+    assert low["result"].pop("p") == 0
+    assert low["result"] == line["result"] and "p" not in line["result"]
+    top = run_json(capsys, "omega-coh", "--scroll", "1,2,3", "--p", "2", "--div", "5H-F")
+    shifted = run_json(capsys, "line-coh", "--scroll", "1,2,3", "--div", "2H+5F")
+    assert top["result"]["h"] == shifted["result"]["h"]
+    assert run(capsys, "veronese", "--dim", "3", "--p", "3")[0] == 0

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import all_scrolls
+from conftest import all_scrolls, line_cohomology_oracle
 from scrollcoh import (DivClass, F, H, Scroll, block, deg_H, deg_slope,
-                       line_atom, FormalSheaf)
+                       line_atom, FormalSheaf, line_cohomology, omega_cohomology)
 
 
 def test_make_scroll_sorts_and_derives():
@@ -55,6 +55,20 @@ def test_line_cohomology_hyperplane():
     # and h^0(O(H)) = c + n + 1 is the ambient dimension plus one
     for T in [Scroll((1, 1, 1)), Scroll((2, 3, 4, 5))]:
         assert T.line_cohomology(H).h(0) == T.c + T.n + 1
+
+
+def test_line_cohomology_matches_sym_oracle():
+    # the pushforward engine at p = 0 and at p = n (O(D) = Omega^n(D - K_rel))
+    # against the Sym^a E(b) formula enumerated multiset by multiset
+    for S in all_scrolls(3, 7):
+        for a in range(-S.n - 4, S.n + 5):
+            for b in range(-S.c - 3, S.c + 4):
+                d = DivClass(a, b)
+                want = line_cohomology_oracle(S, d)
+                assert line_cohomology(S, d).values() == want, (S.degrees, a, b)
+                assert omega_cohomology(S, 0, d).values() == want, (S.degrees, a, b)
+                top = omega_cohomology(S, S.n, d - S.rel_canonical)
+                assert top.values() == want, (S.degrees, a, b)
 
 
 def test_line_cohomology_middle_regime_vanishes():
