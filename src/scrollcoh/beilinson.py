@@ -22,6 +22,7 @@ from .homext import ext_line_vs_atom
 from .relative import sheaf_cohomology
 from .scroll import DivClass, Scroll
 from .sheaves import Atom, FormalSheaf, line_atom, omega_atom
+from .tables import md_table
 
 
 class NotDiagonalError(ValueError):
@@ -163,12 +164,9 @@ class BeilinsonTable:
 
     def render_md(self) -> str:
         cols = range(self.size - 1, -1, -1)
-        lines = ["| " + " | ".join(self.f_labels[j] for j in cols) + " |",
-                 "|" + " --- |" * self.size]
-        for q in range(self.size - 1, -1, -1):
-            lines.append("| " + " | ".join(str(self.entry(j, q)) for j in cols) + " |")
-        lines.append("| " + " | ".join(self.e_labels[j] for j in cols) + " |")
-        return "\n".join(lines)
+        rows = [[self.entry(j, q) for j in cols] for q in cols]
+        rows.append([self.e_labels[j] for j in cols])
+        return md_table([self.f_labels[j] for j in cols], rows)
 
     def render_latex(self) -> str:
         f_tex = self.f_labels_tex or self.f_labels

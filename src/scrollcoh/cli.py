@@ -17,22 +17,31 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .beilinson import (atom_label, beilinson_table, beilinson_table_from_profile,
-                        build_collections, verify_duality)
-from .homext import hom_upper_bound
-from .relative import (koszul_resolution, omega_cohomology, sheaf_chi)
+from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
+from .p1 import hook_rank
+from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
-from .sheaves import deg_slope, omega_atom
-from .tables import IndeterminateError
+from .sheaves import deg_slope
+from .tables import IndeterminateError, md_table
 from .ulrich import (block, block_atom, classify, enumerate_types, is_ulrich,
                      type_info, type_sheaf, veronese_table)
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INDETERMINATE = 2
 EXIT_VERIFY_FAILED = 3
 
-_DIV_TERM = re.compile(r"([+-]?\d*)([HF])")
+# Size limits, checked before any convolution runs.  A cohomology query
+# reduces to the hook (m, 1^r) of its Bott regime: hook_rank(n + 1, m, r)
+# summands, and at most C(n + m, n + 1) * sum_{j <= r} C(n + 1, j) entries
+# in the convolution.  enumerate counts the types it would list.
+MAX_SUMMANDS = 1_000_000
+MAX_CELLS = 2_000_000
+MAX_TYPES = 10_000
+
+_DIV_FORM = re.compile(r"[+-]?\d*[HF](?:[+-]\d*[HF])*")
+_DIV_TERM = re.compile(r"([+-]?)(\d*)([HF])")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,20 +58,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_div(text: str) -> DivClass:
+    """aH+bF with optional coefficients; every term after the first starts
+    with a sign, and spaces are ignored."""
     s = text.replace(" ", "")
-    if s == "0":
-        return DivClass(0, 0)
-    matched = "".join(m.group(0) for m in _DIV_TERM.finditer(s))
-    if not s or matched != s:
+    if s != "0" and not _DIV_FORM.fullmatch(s):
         raise ValueError(f"cannot parse divisor {text!r}; expected the form aH+bF")
-    h = f = 0
-    for coeff, basis in _DIV_TERM.findall(s):
-        k = 1 if coeff in ("", "+") else -1 if coeff == "-" else int(coeff)
-        if basis == "H":
-            h += k
-        else:
-            f += k
-    return DivClass(h, f)
+    coeffs = {"H": 0, "F": 0}
+    for sign, digits, basis in _DIV_TERM.findall(s):
+        coeffs[basis] += int(sign + (digits or "1"))
+    return DivClass(coeffs["H"], coeffs["F"])
 
 
 def _one_of(args, what: str, *names: str) -> str:
@@ -79,11 +83,38 @@ def _check_p(p: int, top: int, name: str) -> None:
         raise ValueError(f"--p must lie in 0..{name} (0..{top} here), got {p}")
 
 
+def _check_limit(what: str, count: int, name: str, limit: int) -> None:
+    if count > limit:
+        raise ValueError(f"{what} is {count}, above the limit {name} = {limit}")
+
+
+def _check_size(scroll: Scroll, p: int, div: DivClass) -> None:
+    n, regime = scroll.n, _bott(scroll.n, p, div.h)
+    if regime is not None and regime[1]:
+        _, m, r = regime
+        _check_limit("the pushforward rank", hook_rank(n + 1, m, r), "MAX_SUMMANDS", MAX_SUMMANDS)
+        cells = comb(n + m, n + 1) * sum(comb(n + 1, j) for j in range(r + 1))
+        _check_limit("the convolution size", cells, "MAX_CELLS", MAX_CELLS)
+
+
+def _check_types(scroll: Scroll, rank: int) -> None:
+    # ways[t] counts the a_0..a_n with sum a_i C(n, i) = t; as a_0 + a_n = rank
+    # alone gives rank + 1 types, a rank of MAX_TYPES or more is over at once
+    ways = [1] + [0] * min(rank, MAX_TYPES)
+    for w in (comb(scroll.n, i) for i in range(scroll.n + 1)):
+        for t in range(w, len(ways)):
+            ways[t] += ways[t - w]
+    count = rank + 1 if rank >= MAX_TYPES else ways[rank]
+    _check_limit("the number of types", count, "MAX_TYPES", MAX_TYPES)
+
+
 def _divisor_from(args) -> DivClass:
     if _one_of(args, "divisor", "div", "pair") == "div":
         return _parse_div(args.div)
-    u, v = _parse_ints(args.pair)
-    return DivClass.from_pair(u, v)
+    pair = _parse_ints(args.pair)
+    if len(pair) != 2:
+        raise ValueError(f"expected a divisor pair of the form u,v, got {args.pair!r}")
+    return DivClass.from_pair(*pair)
 
 
 def _load_profile(path: str) -> dict:
@@ -99,31 +130,6 @@ def _div_payload(div: DivClass) -> dict:
     return {"h": div.h, "f": div.f}
 
 
-def _emit(args, payload: dict, md: str | None = None, latex: str | None = None) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "md":
-        print(md if md is not None else _fallback_md(payload))
-    else:
-        print(latex if latex is not None else _fallback_latex(payload))
-
-
-def _fallback_md(payload: dict) -> str:
-    return "```json\n" + json.dumps(payload, sort_keys=True, indent=2) + "\n```"
-
-
-def _fallback_latex(payload: dict) -> str:
-    return ("\\begin{verbatim}\n"
-            + json.dumps(payload, sort_keys=True, indent=2)
-            + "\n\\end{verbatim}")
-
-
-def _md_table(header, rows) -> str:
-    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
-    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
-    return "\n".join(lines)
-
-
 def _h_table_latex(values, chi) -> str:
     cols = "c|" * (len(values) + 1)
     header = " & ".join(f"$h^{{{i}}}$" for i in range(len(values))) + r" & $\chi$ \\"
@@ -132,9 +138,11 @@ def _h_table_latex(values, chi) -> str:
                       r"\hline", row, r"\hline", r"\end{tabular}"])
 
 
-def _cmd_coh(args) -> int:
+# Each command maps (args, scroll) to (result, md, latex); md or latex is
+# None where the command has no table of its own for that format.
+
+def _cmd_coh(args, scroll: Scroll):
     """line-coh and omega-coh: a line bundle is the case p = 0."""
-    scroll = Scroll(_parse_ints(args.scroll))
     result = {}
     if args.command == "omega-coh":
         if args.p is None:
@@ -142,18 +150,16 @@ def _cmd_coh(args) -> int:
         _check_p(args.p, scroll.n, "n")
         result["p"] = args.p
     div = _divisor_from(args)
-    table = omega_cohomology(scroll, result.get("p", 0), div)
+    p = result.get("p", 0)
+    _check_size(scroll, p, div)
+    table = omega_cohomology(scroll, p, div)
     h = list(table.values())
     result.update(div=_div_payload(div), pair=list(div.pair()), h=h, chi=table.chi)
-    payload = {"command": args.command, "scroll": list(scroll.degrees), "result": result}
     header = [f"h^{i}" for i in range(len(h))] + ["chi"]
-    _emit(args, payload, _md_table(header, [h + [table.chi]]),
-          _h_table_latex(h, table.chi))
-    return EXIT_OK
+    return result, md_table(header, [h + [table.chi]]), _h_table_latex(h, table.chi)
 
 
-def _cmd_blocks(args) -> int:
-    scroll = Scroll(_parse_ints(args.scroll))
+def _cmd_blocks(args, scroll: Scroll):
     rows = []
     for i in range(scroll.n + 1):
         sheaf = block(scroll, i)
@@ -163,149 +169,62 @@ def _cmd_blocks(args) -> int:
                      "rank": rank, "c1": _div_payload(c1), "deg": deg,
                      "slope": _frac(slope), "h0": verdict.h0,
                      "ulrich": verdict.passed})
-    payload = {"command": "blocks", "scroll": list(scroll.degrees),
-               "result": {"blocks": rows}}
     header = ["i", "atom", "rank", "deg", "slope", "h0", "ulrich"]
-    _emit(args, payload, _md_table(header, [[r[k] for k in header] for r in rows]))
-    return EXIT_OK
+    return {"blocks": rows}, md_table(header, [[r[k] for k in header] for r in rows]), None
 
 
-def _table_for(args, scroll: Scroll):
+def _cmd_beilinson(args, scroll: Scroll):
     if _one_of(args, "input", "type", "profile") == "type":
         sheaf = type_sheaf(scroll, _parse_ints(args.type))
-        return beilinson_table(scroll, sheaf.twist(-H))
-    return beilinson_table_from_profile(scroll, _load_profile(args.profile))
+        table = beilinson_table(scroll, sheaf.twist(-H))
+    else:
+        table = beilinson_table_from_profile(scroll, _load_profile(args.profile))
+    return {"table": table.to_payload()}, table.render_md(), table.render_latex()
 
 
-def _cmd_beilinson(args) -> int:
-    scroll = Scroll(_parse_ints(args.scroll))
-    table = _table_for(args, scroll)
-    payload = {"command": "beilinson", "scroll": list(scroll.degrees),
-               "result": {"table": table.to_payload()}}
-    _emit(args, payload, table.render_md(), table.render_latex())
-    return EXIT_OK
+def _type_payload(info) -> dict:
+    return {"type": list(info.multiplicities), "rank": info.rank,
+            "c1": _div_payload(info.c1), "h0": info.h0, "slope": _frac(info.slope)}
 
 
-def _cmd_classify(args) -> int:
-    scroll = Scroll(_parse_ints(args.scroll))
+def _cmd_classify(args, scroll: Scroll):
     if _one_of(args, "input", "type", "profile") == "type":
         mults = classify(scroll, sheaf=type_sheaf(scroll, _parse_ints(args.type)))
     else:
         mults = classify(scroll, profile=_load_profile(args.profile))
     info = type_info(scroll, mults)
-    result = {"type": list(info.multiplicities), "rank": info.rank,
-              "c1": _div_payload(info.c1), "h0": info.h0,
-              "slope": _frac(info.slope)}
-    payload = {"command": "classify", "scroll": list(scroll.degrees), "result": result}
+    result = _type_payload(info)
     row = [",".join(str(a) for a in info.multiplicities), info.rank, info.c1,
            info.h0, result["slope"]]
-    _emit(args, payload, _md_table(["type", "rank", "c1", "h0", "slope"], [row]))
-    return EXIT_OK
+    return result, md_table(["type", "rank", "c1", "h0", "slope"], [row]), None
 
 
-def _cmd_enumerate(args) -> int:
-    scroll = Scroll(_parse_ints(args.scroll))
+def _cmd_enumerate(args, scroll: Scroll):
     target = _one_of(args, "target", "rank", "h0")
-    infos = enumerate_types(scroll, rank=args.rank, h0=args.h0)
-    rows = [{"type": list(t.multiplicities), "rank": t.rank,
-             "c1": _div_payload(t.c1), "h0": t.h0, "slope": _frac(t.slope),
-             "line_blocks": list(t.line_block_positions)} for t in infos]
-    payload = {"command": "enumerate", "scroll": list(scroll.degrees),
-               "result": {"target": {target: getattr(args, target)}, "types": rows}}
+    rank = args.rank if target == "rank" else args.h0 // scroll.c
+    if rank >= 1 and (target == "rank" or args.h0 % scroll.c == 0):
+        _check_types(scroll, rank)
+    rows = [dict(_type_payload(t), line_blocks=list(t.line_block_positions))
+            for t in enumerate_types(scroll, rank=args.rank, h0=args.h0)]
+    result = {"target": {target: getattr(args, target)}, "types": rows}
     md_rows = [[",".join(str(a) for a in r["type"]), r["rank"], r["h0"], r["slope"],
                 r["line_blocks"]] for r in rows]
-    _emit(args, payload, _md_table(["type", "rank", "h0", "slope", "line blocks"], md_rows))
-    return EXIT_OK
+    return result, md_table(["type", "rank", "h0", "slope", "line blocks"], md_rows), None
 
 
-def _suite_duality(scroll: Scroll):
-    report = verify_duality(scroll)
-    return report.passed, {"violations": [list(v) for v in report.violations]}
-
-
-def _suite_blocks(scroll: Scroll):
-    failures = []
-    for i in range(scroll.n + 1):
-        verdict = is_ulrich(scroll, block(scroll, i))
-        expected = scroll.c * comb(scroll.n, i)
-        if not verdict.passed or verdict.h0 != expected:
-            failures.append({"i": i, "h0": verdict.h0, "expected": expected,
-                             "failures": list(verdict.failures)})
-    return not failures, {"failures": failures}
-
-
-def _required_hom_pairs(scroll: Scroll):
-    n = scroll.n
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                x = omega_atom(scroll, i, DivClass(i, 0))
-                y = omega_atom(scroll, j, DivClass(j, 0))
-                yield x, y, f"Hom(Omega^{i}({i}H), Omega^{j}({j}H))"
-    _, f = build_collections(scroll)
-    members = [1] + [2 * t for t in range(1, n + 1)]
-    for i in members:
-        for j in members:
-            if i > j:
-                yield f[i].atom, f[j].atom, f"Hom(F_{i}, F_{j})"
-
-
-def _suite_homvanish(scroll: Scroll):
-    failures = []
-    checked = 0
-    for x, y, tag in _required_hom_pairs(scroll):
-        checked += 1
-        table = hom_upper_bound(scroll, x, y)
-        if table.hi(0) != 0:
-            failures.append({"pair": tag, "bound": list(table.bound(0))})
-    return not failures, {"checked": checked, "failures": failures}
-
-
-def _suite_chi_oracle(scroll: Scroll):
-    failures = []
-    n, c = scroll.n, scroll.c
-    for p in range(n):
-        for a in range(-n - 2, n + 3):
-            for b in range(-c - 2, c + 3):
-                div = DivClass(a, b)
-                res = koszul_resolution(scroll, p, div)
-                alt = sum((-1) ** idx * sheaf_chi(scroll, t)
-                          for idx, t in enumerate(res))
-                want = (-1) ** (len(res) - 1) * omega_cohomology(scroll, p, div).chi
-                if alt != want:
-                    failures.append({"p": p, "div": _div_payload(div),
-                                     "alternating": alt, "expected": want})
-    for p in range(n + 1):
-        for b in range(-3, 4):
-            got = omega_cohomology(scroll, p, DivClass(0, b)).chi
-            if got != (-1) ** p * (b + 1):
-                failures.append({"p": p, "b": b, "chi": got})
-    return not failures, {"failures": failures}
-
-
-_SUITES = {"duality": _suite_duality, "blocks": _suite_blocks,
-           "homvanish": _suite_homvanish, "chi-oracle": _suite_chi_oracle}
-
-
-def _cmd_verify(args) -> int:
-    scroll = Scroll(_parse_ints(args.scroll))
-    passed, details = _SUITES[args.suite](scroll)
+def _cmd_verify(args, scroll: Scroll):
+    passed, details = SUITES[args.suite](scroll)
     result = {"suite": args.suite, "passed": passed, "details": details}
-    payload = {"command": "verify", "scroll": list(scroll.degrees), "result": result}
-    _emit(args, payload, f"suite {args.suite}: {'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return result, f"suite {args.suite}: {'pass' if passed else 'FAIL'}", None
 
 
-def _cmd_veronese(args) -> int:
+def _cmd_veronese(args, scroll: None):
     if _one_of(args, "input", "p", "profile") == "p":
         _check_p(args.p, args.dim, "dim")
         table = veronese_table(args.dim, atom=(args.p, args.twist))
     else:
         table = veronese_table(args.dim, profile=_load_profile(args.profile))
-    payload = {"command": "veronese", "scroll": None,
-               "result": {"dim": args.dim, "table": table.to_payload()}}
-    _emit(args, payload, table.render_md(), table.render_latex())
-    return EXIT_OK
+    return {"dim": args.dim, "table": table.to_payload()}, table.render_md(), table.render_latex()
 
 
 def _build_parser() -> _Parser:
@@ -314,79 +233,77 @@ def _build_parser() -> _Parser:
                                  "on rational normal scrolls.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scroll=True):
+    def command(name, handler, summary, scroll=True):
+        p = sub.add_parser(name, help=summary)
         if scroll:
             p.add_argument("--scroll", required=True,
                            help="splitting degrees, e.g. 1,2")
         p.add_argument("--format", choices=("json", "md", "latex"),
                        default="json")
+        p.set_defaults(handler=handler)
+        return p
 
     def divisor(p):
         p.add_argument("--div", help="divisor as aH+bF, e.g. 2H-F")
         p.add_argument("--pair", help="divisor in pair form u,v")
 
-    p = sub.add_parser("line-coh", help="cohomology of a line bundle")
-    common(p); divisor(p)
-    p.set_defaults(handler=_cmd_coh)
+    def type_or_profile(p):
+        p.add_argument("--type", help="block multiplicities a0,...,an")
+        p.add_argument("--profile", help="path to a profile JSON file")
 
-    p = sub.add_parser("omega-coh",
-                       help="cohomology of twisted relative differentials")
-    common(p); divisor(p)
+    divisor(command("line-coh", _cmd_coh, "cohomology of a line bundle"))
+
+    p = command("omega-coh", _cmd_coh, "cohomology of twisted relative differentials")
+    divisor(p)
     p.add_argument("--p", type=int, help="exterior power index, 0..n")
-    p.set_defaults(handler=_cmd_coh)
 
-    p = sub.add_parser("blocks", help="the building blocks and their invariants")
-    common(p)
-    p.set_defaults(handler=_cmd_blocks)
+    command("blocks", _cmd_blocks, "the building blocks and their invariants")
 
-    p = sub.add_parser("beilinson", help="Beilinson table of a block sum "
-                                         "(after the -H twist) or a profile")
-    common(p)
-    p.add_argument("--type", help="block multiplicities a0,...,an")
-    p.add_argument("--profile", help="path to a profile JSON file")
-    p.set_defaults(handler=_cmd_beilinson)
+    type_or_profile(command("beilinson", _cmd_beilinson, "Beilinson table of a block "
+                                                         "sum (after the -H twist) or a profile"))
 
-    p = sub.add_parser("classify", help="filtration multiplicities of an "
-                                        "Ulrich bundle")
-    common(p)
-    p.add_argument("--type", help="block multiplicities a0,...,an")
-    p.add_argument("--profile", help="path to a profile JSON file")
-    p.set_defaults(handler=_cmd_classify)
+    type_or_profile(command("classify", _cmd_classify,
+                            "filtration multiplicities of an Ulrich bundle"))
 
-    p = sub.add_parser("enumerate", help="all Ulrich types of a given rank or h0")
-    common(p)
+    p = command("enumerate", _cmd_enumerate, "all Ulrich types of a given rank or h0")
     p.add_argument("--rank", type=int)
     p.add_argument("--h0", type=int)
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
-    p.add_argument("--suite", choices=tuple(_SUITES), required=True)
-    p.set_defaults(handler=_cmd_verify)
+    p = command("verify", _cmd_verify, "run a verification suite")
+    p.add_argument("--suite", choices=tuple(SUITES), required=True)
 
-    p = sub.add_parser("veronese", help="Beilinson table on P^2 or P^3 with "
-                                        "the degree-two polarisation")
-    common(p, scroll=False)
+    p = command("veronese", _cmd_veronese, "Beilinson table on P^2 or P^3 with the "
+                                           "degree-two polarisation", scroll=False)
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
     p.add_argument("--p", type=int, help="differential index of the input atom, 0..dim")
     p.add_argument("--twist", type=int, default=0, help="twist of the input atom")
     p.add_argument("--profile", help="path to a profile JSON file")
-    p.set_defaults(handler=_cmd_veronese)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except IndeterminateError as exc:
+        text = getattr(args, "scroll", None)
+        scroll = None if text is None else Scroll(_parse_ints(text))
+        result, md, latex = args.handler(args, scroll)
+        payload = {"command": args.command,
+                   "scroll": None if scroll is None else list(scroll.degrees),
+                   "result": result}
+        out = {"json": json.dumps(payload, sort_keys=True), "md": md, "latex": latex}[args.format]
+        if out is None:
+            dump = json.dumps(payload, sort_keys=True, indent=2)
+            out = (f"```json\n{dump}\n```" if args.format == "md"
+                   else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
+        print(out)
+    except (IndeterminateError, ValueError, KeyError, OSError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_INDETERMINATE if isinstance(exc, IndeterminateError) else EXIT_INVALID
+    if args.command == "verify" and not result["passed"]:
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 def main_entry() -> None:

@@ -4,10 +4,12 @@ A split bundle is a finite direct sum of line bundles O(d), stored as the
 sorted multiset of its degrees; the empty multiset is the zero bundle.
 Symmetric and exterior powers, hook Schur functors, duals, twists and tensor
 products of split bundles are split again, so every functor here maps sorted
-integer tuples to sorted integer tuples.  Degree multisets are produced by
-small convolutions over (degree, multiplicity) distributions rather than
-tableau-by-tableau enumeration, which keeps high powers cheap; the tableau
-description is what the test suite enumerates against.
+integer tuples to sorted integer tuples.  Degree multisets come from one
+convolution over (degree, multiplicity) distributions, that of the hook
+Schur functor (m, 1^p), rather than tableau-by-tableau enumeration, which
+keeps high powers cheap: Sym^k is the hook (k) and Wedge^k the hook
+(1, 1^(k-1)).  The tableau description is what the test suite enumerates
+against.
 """
 
 from __future__ import annotations
@@ -25,65 +27,48 @@ _EMPTY: _Dist = ()
 _UNIT: _Dist = ((0, 1),)
 
 
-def _shift(dist: _Dist, d: int) -> _Dist:
-    return tuple((deg + d, mult) for deg, mult in dist)
-
-
-def _merge(dists) -> _Dist:
-    acc: dict[int, int] = {}
-    for dist in dists:
-        for deg, mult in dist:
-            acc[deg] = acc.get(deg, 0) + mult
-    return tuple(sorted((d, m) for d, m in acc.items() if m))
-
-
-def _mul(x: _Dist, y: _Dist) -> _Dist:
-    acc: dict[int, int] = {}
-    for dx, mx in x:
-        for dy, my in y:
-            acc[dx + dy] = acc.get(dx + dy, 0) + mx * my
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
-def _complete_sums(degs: tuple[int, ...], k: int) -> _Dist:
-    # degree distribution of all k-multisets drawn from degs
-    if k < 0:
-        return _EMPTY
-    layers: list[_Dist] = [_UNIT] + [_EMPTY] * k
-    for d in degs:
-        for j in range(1, k + 1):
-            layers[j] = _merge((layers[j], _shift(layers[j - 1], d)))
-    return layers[k]
-
-
-@lru_cache(maxsize=None)
-def _elementary_sums(degs: tuple[int, ...], k: int) -> _Dist:
-    # degree distribution of all k-subsets of degs
-    if k < 0 or k > len(degs):
-        return _EMPTY
-    layers: list[_Dist] = [_UNIT] + [_EMPTY] * k
-    for d in degs:
-        for j in range(k, 0, -1):
-            layers[j] = _merge((layers[j], _shift(layers[j - 1], d)))
-    return layers[k]
+def _add_scaled(acc: dict[int, int], dist: dict[int, int], d: int, scale: int = 1) -> None:
+    # acc += scale * (dist shifted by d)
+    for deg, mult in dist.items():
+        acc[deg + d] = acc.get(deg + d, 0) + scale * mult
 
 
 @lru_cache(maxsize=None)
 def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
-    # Tableaux grouped by the corner entry: the rest of the first column
-    # takes p strictly larger letters, the rest of the first row m-1 weakly
-    # larger ones.
-    pieces = []
-    for i, d in enumerate(degs):
-        col = _elementary_sums(degs[i + 1:], p)
-        if not col:
-            continue
-        row = _complete_sums(degs[i:], m - 1)
-        if not row:
-            continue
-        pieces.append(_shift(_mul(col, row), d))
-    return _merge(pieces)
+    # One pass over the letters, from the last down.  rows[k] holds the degree
+    # distribution of k repeatable row letters and cols[j] that of j distinct
+    # column letters among the letters passed so far.  A corner d takes its p
+    # column letters strictly after d and its m - 1 row letters from d on, so
+    # it is read after the row update admits d and before the column update does.
+    if p >= len(degs):
+        return _EMPTY
+    rows = [{0: 1}] + [{} for _ in range(m - 1)]
+    cols = [{0: 1}] + [{} for _ in range(p)]
+    out: dict[int, int] = {}
+    for d in reversed(degs):
+        for k in range(1, m):
+            _add_scaled(rows[k], rows[k - 1], d)
+        for deg, mult in cols[p].items():
+            _add_scaled(out, rows[m - 1], d + deg, mult)
+        for j in range(p, 0, -1):
+            _add_scaled(cols[j], cols[j - 1], d)
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _complete_sums(degs: tuple[int, ...], k: int) -> _Dist:
+    # degree distribution of all k-multisets drawn from degs: the hook (k)
+    if k < 0:
+        return _EMPTY
+    return _UNIT if k == 0 else _hook_sums(degs, k, 0)
+
+
+@lru_cache(maxsize=None)
+def _elementary_sums(degs: tuple[int, ...], k: int) -> _Dist:
+    # degree distribution of all k-subsets of degs: the hook (1, 1^(k-1))
+    if k < 0:
+        return _EMPTY
+    return _UNIT if k == 0 else _hook_sums(degs, 1, k - 1)
 
 
 def _expand(dist: _Dist) -> tuple[int, ...]:
@@ -165,9 +150,11 @@ class SplitBundle:
         return SplitBundle(d + b for d in self.degrees)
 
     def tensor(self, other: SplitBundle) -> SplitBundle:
-        a = tuple(sorted(Counter(self.degrees).items()))
-        b = tuple(sorted(Counter(other.degrees).items()))
-        return SplitBundle(_expand(_mul(a, b)))
+        acc: dict[int, int] = {}
+        right = Counter(other.degrees)
+        for deg, mult in Counter(self.degrees).items():
+            _add_scaled(acc, right, deg, mult)
+        return SplitBundle(_expand(tuple(sorted(acc.items()))))
 
     def __add__(self, other: SplitBundle) -> SplitBundle:
         """Direct sum."""

@@ -74,9 +74,8 @@ def omega_cohomology(scroll: Scroll, p: int, div: DivClass) -> CohomTable:
     return CohomTable.exact(vals)
 
 
-def atom_cohomology(scroll: Scroll, atom: Atom, extra: DivClass | None = None) -> CohomTable:
-    div = atom.twist if extra is None else atom.twist + extra
-    return omega_cohomology(scroll, atom.p, div)
+def atom_cohomology(scroll: Scroll, atom: Atom) -> CohomTable:
+    return omega_cohomology(scroll, atom.p, atom.twist)
 
 
 def sheaf_cohomology(scroll: Scroll, sheaf: FormalSheaf) -> CohomTable:

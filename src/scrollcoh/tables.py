@@ -1,4 +1,5 @@
-"""Per-degree dimension tables, exact or interval-valued."""
+"""Per-degree dimension tables, exact or interval-valued, and the one
+Markdown renderer every printed table goes through."""
 
 from __future__ import annotations
 
@@ -150,3 +151,10 @@ def intersect(a: CohomTable, b: CohomTable) -> CohomTable:
             raise ValueError("empty intersection: incompatible bounds")
         bounds.append([lo, hi])
     return CohomTable(_tightened(bounds, a.chi), a.chi)
+
+
+def md_table(header, rows) -> str:
+    """A Markdown table: the header row, the rule, then one line per row."""
+    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
+    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return "\n".join(lines)

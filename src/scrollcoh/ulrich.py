@@ -149,9 +149,9 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
     found: list[tuple[int, ...]] = []
 
     def rec(pos: int, remaining: int, acc: list[int]) -> None:
-        if pos == len(weights):
-            if remaining == 0:
-                found.append(tuple(acc))
+        if pos == scroll.n:
+            # the last block has rank C(n, n) = 1 and takes what is left
+            found.append((*acc, remaining))
             return
         for a in range(remaining // weights[pos] + 1):
             acc.append(a)

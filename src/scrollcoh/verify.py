@@ -1,0 +1,84 @@
+"""Verification suites for the claims the engines rest on: the Kronecker
+pairing (duality), the Ulrich blocks (blocks), Hom vanishing (homvanish) and
+the Koszul Euler-characteristic oracle (chi-oracle).  Each suite maps a
+scroll to (passed, details) with JSON-ready details.  The package does not
+import this module; the command line and the acceptance tests do.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+from .beilinson import build_collections, verify_duality
+from .homext import hom_upper_bound
+from .relative import koszul_resolution, omega_cohomology, sheaf_chi
+from .scroll import DivClass, Scroll
+from .sheaves import omega_atom
+from .ulrich import block, is_ulrich
+
+
+def duality(scroll: Scroll):
+    report = verify_duality(scroll)
+    return report.passed, {"violations": [list(v) for v in report.violations]}
+
+
+def blocks(scroll: Scroll):
+    failures = []
+    for i in range(scroll.n + 1):
+        verdict = is_ulrich(scroll, block(scroll, i))
+        if not verdict.passed:
+            failures.append({"i": i, "h0": verdict.h0, "expected": verdict.expected_h0,
+                             "failures": list(verdict.failures)})
+    return not failures, {"failures": failures}
+
+
+def required_hom_pairs(scroll: Scroll):
+    """(source, target, tag) for every Hom that must vanish: between the
+    twists Omega^i(iH) and Omega^j(jH) for i != j, and from F_i to F_j for
+    i > j among the dual members 1, 2, 4, ..., 2n; 3n(n+1)/2 pairs."""
+    n = scroll.n
+    twists = [omega_atom(scroll, i, DivClass(i, 0)) for i in range(n + 1)]
+    for i, j in permutations(range(n + 1), 2):
+        yield twists[i], twists[j], f"Hom(Omega^{i}({i}H), Omega^{j}({j}H))"
+    _, f = build_collections(scroll)
+    members = [1] + [2 * t for t in range(1, n + 1)]
+    for k, i in enumerate(members):
+        for j in members[:k]:
+            yield f[i].atom, f[j].atom, f"Hom(F_{i}, F_{j})"
+
+
+def homvanish(scroll: Scroll):
+    failures = []
+    pairs = list(required_hom_pairs(scroll))
+    for x, y, tag in pairs:
+        table = hom_upper_bound(scroll, x, y)
+        if table.hi(0) != 0:
+            failures.append({"pair": tag, "bound": list(table.bound(0))})
+    return not failures, {"checked": len(pairs), "failures": failures}
+
+
+def chi_oracle(scroll: Scroll):
+    # Koszul sums for p < n, |a| <= n + 2, |b| <= c + 2; fibre twists for |b| <= 3
+    failures = []
+    n, c = scroll.n, scroll.c
+    for p in range(n):
+        for a in range(-n - 2, n + 3):
+            for b in range(-c - 2, c + 3):
+                div = DivClass(a, b)
+                res = koszul_resolution(scroll, p, div)
+                alt = sum((-1) ** idx * sheaf_chi(scroll, t)
+                          for idx, t in enumerate(res))
+                want = (-1) ** (len(res) - 1) * omega_cohomology(scroll, p, div).chi
+                if alt != want:
+                    failures.append({"p": p, "div": {"h": a, "f": b},
+                                     "alternating": alt, "expected": want})
+    for p in range(n + 1):
+        for b in range(-3, 4):
+            got = omega_cohomology(scroll, p, DivClass(0, b)).chi
+            if got != (-1) ** p * (b + 1):
+                failures.append({"p": p, "b": b, "chi": got})
+    return not failures, {"failures": failures}
+
+
+SUITES = {"duality": duality, "blocks": blocks, "homvanish": homvanish,
+          "chi-oracle": chi_oracle}

@@ -11,11 +11,11 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from conftest import all_scrolls
-from scrollcoh import (DivClass, Scroll, SplitBundle, build_collections,
-                       classify, enumerate_types, hom_upper_bound,
-                       koszul_resolution, omega_atom, omega_cohomology,
-                       segre_ext1, sheaf_chi, type_sheaf, verify_duality,
+from scrollcoh import (DivClass, Scroll, SplitBundle, classify,
+                       enumerate_types, hom_upper_bound, omega_atom,
+                       omega_cohomology, segre_ext1, type_sheaf,
                        veronese_classify, veronese_table)
+from scrollcoh.verify import SUITES
 
 
 def _report(tag: str, ok: bool) -> None:
@@ -48,37 +48,24 @@ def test_criterion_02_duality_pairing():
     """Ext^k(E_i, F_j) = [i = j = k] over all scrolls with n <= 4, c <= 8."""
     failures = []
     for S in all_scrolls(4, 8):
-        report = verify_duality(S)
-        if not report.passed:
-            failures.append((S.degrees, report.violations[:3]))
+        passed, details = SUITES["duality"](S)
+        if not passed:
+            failures.append((S.degrees, details["violations"][:3]))
     ok = not failures
     _report("2 duality pairing", ok)
     assert ok, failures[:5]
 
 
 def test_criterion_03_hom_vanishing():
-    """Chase upper bounds hit exactly zero for every required pair; an
-    indeterminate pair counts as a failure."""
+    """Chase upper bounds hit exactly zero for every required pair, all
+    3n(n+1)/2 of them; an indeterminate pair counts as a failure."""
     failures = []
     for S in all_scrolls(4, 8):
-        n = S.n
-        pairs = []
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i != j:
-                    pairs.append((omega_atom(S, i, DivClass(i, 0)),
-                                  omega_atom(S, j, DivClass(j, 0)),
-                                  ("block-twists", i, j)))
-        _, f = build_collections(S)
-        members = [1] + [2 * t for t in range(1, n + 1)]
-        for i in members:
-            for j in members:
-                if i > j:
-                    pairs.append((f[i].atom, f[j].atom, ("dual-members", i, j)))
-        for x, y, tag in pairs:
-            bound = hom_upper_bound(S, x, y).bound(0)
-            if bound != (0, 0):
-                failures.append((S.degrees, tag, bound))
+        passed, details = SUITES["homvanish"](S)
+        if details["checked"] != 3 * S.n * (S.n + 1) // 2:
+            failures.append((S.degrees, "checked", details["checked"]))
+        if not passed:
+            failures.append((S.degrees, details["failures"]))
     ok = not failures
     _report("3 hom vanishing", ok)
     assert ok, failures[:10]
@@ -109,22 +96,9 @@ def test_criterion_05_chi_oracles():
     and chi of the pure fibre twists pins the trace pushforward."""
     failures = []
     for S in all_scrolls(4, 8):
-        for p in range(S.n):
-            for a in range(-S.n - 2, S.n + 3):
-                for b in range(-S.c - 2, S.c + 3):
-                    div = DivClass(a, b)
-                    res = koszul_resolution(S, p, div)
-                    alt = sum((-1) ** i * sheaf_chi(S, t)
-                              for i, t in enumerate(res))
-                    want = ((-1) ** (len(res) - 1)
-                            * omega_cohomology(S, p, div).chi)
-                    if alt != want:
-                        failures.append((S.degrees, p, a, b, alt, want))
-        for p in range(S.n + 1):
-            for b in range(-3, 4):
-                got = omega_cohomology(S, p, DivClass(0, b)).chi
-                if got != (-1) ** p * (b + 1):
-                    failures.append((S.degrees, p, b, got))
+        passed, details = SUITES["chi-oracle"](S)
+        if not passed:
+            failures.extend((S.degrees, f) for f in details["failures"])
     ok = not failures
     _report("5 chi oracles", ok)
     assert ok, failures[:10]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from scrollcoh.cli import main
+from scrollcoh.cli import MAX_TYPES, main
 
 
 def run(capsys, *argv):
@@ -290,3 +290,51 @@ def test_p_at_the_ends_of_its_range(capsys):
     shifted = run_json(capsys, "line-coh", "--scroll", "1,2,3", "--div", "2H+5F")
     assert top["result"]["h"] == shifted["result"]["h"]
     assert run(capsys, "veronese", "--dim", "3", "--p", "3")[0] == 0
+
+
+@pytest.mark.parametrize("div", ["HH", "2H3F", "F2H", "2H 3F", "H+", "+-H", "2"])
+def test_divisor_terms_after_the_first_need_a_sign(capsys, div):
+    code, out, err = run(capsys, "line-coh", "--scroll", "1,2", "--div", div)
+    assert code == 1 and not out
+    assert err.startswith("error: cannot parse divisor") and "aH+bF" in err
+
+
+@pytest.mark.parametrize("div,pair", [("H+H", "2,2"), ("-F+2H", "1,2"), ("2H - 3F", "-1,2"),
+                                      ("+H", "1,1"), ("0", "0,0")])
+def test_divisor_grammar_accepts_signed_terms(capsys, div, pair):
+    a = run_json(capsys, "line-coh", "--scroll", "1,2", f"--div={div}")
+    b = run_json(capsys, "line-coh", "--scroll", "1,2", f"--pair={pair}")
+    assert a == b
+
+
+@pytest.mark.parametrize("pair", ["1", "1,2,3"])
+def test_pair_needs_two_values(capsys, pair):
+    code, out, err = run(capsys, "line-coh", "--scroll", "1,2", "--pair", pair)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "u,v" in err
+
+
+# Each input is refused from closed-form sizes before any convolution runs;
+# unchecked they end in an OverflowError or MemoryError traceback, or run for
+# minutes.
+@pytest.mark.parametrize("argv,limit", [
+    (["line-coh", "--scroll", "1,2", "--div", "99999999999999999999H"], "MAX_SUMMANDS"),
+    (["line-coh", "--scroll", "1,2", "--div", "100000H"], "MAX_CELLS"),
+    (["line-coh", "--scroll", "1,1,1,1,1", "--div", "200H"], "MAX_SUMMANDS"),
+    (["omega-coh", "--scroll", "1,2,3", "--p", "1", "--div=-99999999999999999999H+F"], "MAX_SUMMANDS"),
+    (["line-coh", "--scroll", "1,2,3,4,5", "--div", "50H"], "MAX_CELLS"),
+    (["enumerate", "--scroll", "1,1,1,1,1,1", "--rank", "200"], "MAX_TYPES"),
+    (["enumerate", "--scroll", "1,2", "--rank", "99999999999999999999"], "MAX_TYPES"),
+    (["enumerate", "--scroll", "1,1", "--h0", "20002"], "MAX_TYPES"),
+])
+def test_size_limits_exit_one(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and f"above the limit {limit} = " in err
+
+
+def test_sizes_at_the_limits_run(capsys):
+    types = run_json(capsys, "enumerate", "--scroll", "1,1", "--rank", str(MAX_TYPES - 1))
+    assert len(types["result"]["types"]) == MAX_TYPES
+    h = run_json(capsys, "line-coh", "--scroll", "1,2,3,4,5", "--div", "40H")["result"]["h"]
+    assert h[0] == 16425871  # 40H sits below MAX_CELLS on five summands

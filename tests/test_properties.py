@@ -1,12 +1,17 @@
-"""Property tests beyond the fixed sweeps: Serre duality of the pushforward
-engine on generated scrolls, and the Bott dimensions on projective space
-against hook tableaux enumerated one by one."""
+"""Property tests beyond the fixed sweeps: the hook convolution against
+tableaux enumerated one by one, Serre duality of the pushforward engine on
+generated scrolls, the Bott dimensions on projective space, chase intervals
+around the exact values, the classification round trip and the arithmetic
+of dimension tables."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_hook_degrees
-from scrollcoh import DivClass, Scroll, omega_cohomology, pn_omega_cohomology
+from conftest import brute_hook_degrees, brute_sym_degrees
+from scrollcoh import (CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
+                       classify, koszul_resolution, omega_cohomology,
+                       pn_omega_cohomology, type_sheaf)
+from scrollcoh.p1 import _expand, _hook_sums
 
 # n <= 4 and splitting degrees <= 4
 scrolls = st.lists(st.integers(1, 4), min_size=2, max_size=5).map(Scroll)
@@ -46,3 +51,55 @@ def test_pn_bott_symmetry(n, data, k):
     lhs = pn_omega_cohomology(n, p, k)
     rhs = pn_omega_cohomology(n, n - p, -k)
     assert lhs.values() == tuple(rhs.h(n - q) for q in range(n + 1))
+
+
+degree_lists = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(lambda d: tuple(sorted(d)))
+
+
+@given(degree_lists, st.integers(1, 6), st.data())
+def test_hook_sums_count_tableaux(degs, m, data):
+    p = data.draw(st.integers(0, len(degs)))
+    assert _expand(_hook_sums(degs, m, p)) == brute_hook_degrees(degs, m, p)
+
+
+@given(degree_lists, st.data())
+def test_sym_and_wedge_at_the_ends(degs, data):
+    B = SplitBundle(degs)
+    beyond = data.draw(st.integers(B.rank + 1, B.rank + 4))
+    assert B.sym(0).degrees == B.wedge(0).degrees == (0,)
+    assert B.wedge(beyond).is_zero
+    assert B.sym(beyond).degrees == brute_sym_degrees(degs, beyond)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4).map(Scroll), st.data())
+def test_classify_recovers_the_type(S, data):
+    t = tuple(data.draw(st.lists(st.integers(0, 2), min_size=S.n + 1, max_size=S.n + 1)
+                        .filter(any)))
+    assert classify(S, sheaf=type_sheaf(S, t)) == t
+
+
+@settings(deadline=None)
+@given(scrolls, st.data(), twists, twists)
+def test_chase_bounds_contain_the_exact_value(S, data, a, b):
+    # the Koszul resolution of Omega^p(D), p < n, chased to its cokernel
+    p = data.draw(st.integers(0, S.n - 1))
+    div = DivClass(a, b)
+    exact = omega_cohomology(S, p, div)
+    bounds = chase_bounds(S, koszul_resolution(S, p, div))
+    assert bounds.chi == exact.chi
+    assert all(bounds.lo(i) <= exact.h(i) <= bounds.hi(i) for i in range(S.n + 2))
+
+
+dims = st.lists(st.integers(0, 50), min_size=1, max_size=6)
+
+
+@given(dims, dims, st.integers(0, 5))
+def test_cohom_table_arithmetic(x, y, k):
+    a, b = CohomTable.exact(x), CohomTable.exact(y)
+    assert a.is_exact and a.values() == tuple(x)
+    assert a.chi == sum((-1) ** i * v for i, v in enumerate(x))
+    total = a + b
+    assert total.is_exact and total.chi == a.chi + b.chi
+    assert all(total.h(i) == a.lo(i) + b.lo(i) for i in range(max(len(x), len(y))))
+    assert a.scaled(k) == CohomTable.exact([k * v for v in x])
