@@ -12,6 +12,7 @@ of rebuilding the tuple, which matters when formal sheaves sort their atoms
 and the caches hash scrolls and divisor classes.
 """
 
+from functools import total_ordering
 from operator import attrgetter
 
 
@@ -24,7 +25,8 @@ def value(cls=None, /, *, order=False):
     may normalise fields with ``object.__setattr__``; afterwards assigning
     or deleting any attribute raises ``AttributeError``.  Instances equal
     and hash as the tuple of their fields, and only ever equal instances of
-    the same class; ``order=True`` adds the four comparisons on that tuple.
+    the same class.  ``order=True`` adds ``__lt__`` on that tuple, the one
+    comparison sorting calls; ``functools.total_ordering`` derives the rest.
     """
     if cls is None:
         return lambda c: _make_value(c, order)
@@ -123,24 +125,9 @@ def _make_value(cls, order):
                 return self._key < other._key
             return NotImplemented
 
-        def __le__(self, other):
-            if other.__class__ is self.__class__:
-                return self._key <= other._key
-            return NotImplemented
-
-        def __gt__(self, other):
-            if other.__class__ is self.__class__:
-                return self._key > other._key
-            return NotImplemented
-
-        def __ge__(self, other):
-            if other.__class__ is self.__class__:
-                return self._key >= other._key
-            return NotImplemented
-
-        methods += [__lt__, __le__, __gt__, __ge__]
+        methods.append(__lt__)
 
     for fn in methods:
         fn.__qualname__ = f"{qualname}.{fn.__name__}"
         setattr(cls, fn.__name__, fn)
-    return cls
+    return total_ordering(cls) if order else cls

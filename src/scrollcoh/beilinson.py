@@ -22,7 +22,7 @@ from .homext import ext_line_vs_atom
 from .relative import sheaf_cohomology
 from .scroll import DivClass, Scroll
 from .sheaves import Atom, FormalSheaf, line_atom, omega_atom
-from .tables import md_table
+from .tables import latex_table, md_table
 
 
 class NotDiagonalError(ValueError):
@@ -133,9 +133,9 @@ class BeilinsonTable:
     shifts: tuple[int, ...]
     f_labels: tuple[str, ...]
     e_labels: tuple[str, ...]
-    entries: Mapping[tuple[int, int], int] = MappingProxyType({})
-    f_labels_tex: tuple[str, ...] = ()
-    e_labels_tex: tuple[str, ...] = ()
+    entries: Mapping[tuple[int, int], int]
+    f_labels_tex: tuple[str, ...]
+    e_labels_tex: tuple[str, ...]
 
     @property
     def size(self) -> int:
@@ -169,22 +169,10 @@ class BeilinsonTable:
         return md_table([self.f_labels[j] for j in cols], rows)
 
     def render_latex(self) -> str:
-        f_tex = self.f_labels_tex or self.f_labels
-        e_tex = self.e_labels_tex or self.e_labels
         cols = range(self.size - 1, -1, -1)
-        lines = [r"\begin{tabular}{|" + "c|" * self.size + "}",
-                 r"\hline",
-                 " & ".join(f"${f_tex[j]}$" for j in cols) + r" \\",
-                 r"\hline",
-                 r"\hline"]
-        for q in range(self.size - 1, -1, -1):
-            lines.append(" & ".join(f"${self.entry(j, q)}$" for j in cols) + r" \\")
-            lines.append(r"\hline")
-        lines.append(r"\hline")
-        lines.append(" & ".join(f"${e_tex[j]}$" for j in cols) + r" \\")
-        lines.append(r"\hline")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        return latex_table([[f"${self.f_labels_tex[j]}$" for j in cols]],
+                           [[f"${self.entry(j, q)}$" for j in cols] for q in cols],
+                           [[f"${self.e_labels_tex[j]}$" for j in cols]])
 
 
 def _assemble(e: Collection, f: Collection, entries: dict) -> BeilinsonTable:
@@ -202,19 +190,20 @@ def _assemble(e: Collection, f: Collection, entries: dict) -> BeilinsonTable:
     )
 
 
+def _grid(columns) -> dict[tuple[int, int], int]:
+    """The nonzero entries {(j, m - k_j): h^m} of a Beilinson table whose
+    column j is the cohomology table given with its shift k_j."""
+    return {(j, m - shift): v for j, (table, shift) in enumerate(columns)
+            for m, v in enumerate(table.values()) if v}
+
+
 def beilinson_table(scroll: Scroll, sheaf: FormalSheaf) -> BeilinsonTable:
     """Table of a genuine atom sum A: column j lists h^{m}(A x E_j) at the
     spectral row q = m - k_j.  Atom sums always evaluate exactly; anything
     indeterminate would abort with a distinct error rather than guess."""
     e, f = build_collections(scroll)
-    entries: dict[tuple[int, int], int] = {}
-    for j, em in enumerate(e):
-        table = sheaf_cohomology(scroll, sheaf.twist(em.atom.twist))
-        for m in range(scroll.n + 2):
-            v = table.h(m)
-            if v:
-                entries[(j, m - em.shift)] = v
-    return _assemble(e, f, entries)
+    return _assemble(e, f, _grid((sheaf_cohomology(scroll, sheaf.twist(em.atom.twist)), em.shift)
+                                 for em in e))
 
 
 def _profile_int(record: dict, name: str) -> int:
@@ -265,19 +254,11 @@ def beilinson_table_from_profile(scroll: Scroll, profile: dict) -> BeilinsonTabl
     return _assemble(e, f, entries)
 
 
-def diagonal_type(scroll: Scroll, table: BeilinsonTable) -> tuple[int, ...]:
-    """Filtration multiplicities (a_0, ..., a_n) read off a diagonal table.
-
-    a_0 sits in column 1, a_i in column 2i for i = 1..n.  Any weight
-    elsewhere, off the diagonal or on a diagonal slot that matches no
-    building block, means the input was not the -H twist of an Ulrich
-    bundle and raises naming the offending slot.
-    """
-    n = scroll.n
-    slots = {1: 0}
-    for i in range(1, n + 1):
-        slots[2 * i] = i
-    result = [0] * (n + 1)
+def _read_diagonal(table: BeilinsonTable, columns) -> tuple[int, ...]:
+    """The diagonal entries of ``table`` in the given columns, in their order;
+    weight anywhere else raises NotDiagonalError naming the offending slot."""
+    slots = {j: i for i, j in enumerate(columns)}
+    result = [0] * len(slots)
     for (j, q), v in sorted(table.entries.items()):
         if q != j:
             raise NotDiagonalError(f"entry {v} off the diagonal at column {j}, row {q}")
@@ -286,3 +267,12 @@ def diagonal_type(scroll: Scroll, table: BeilinsonTable) -> tuple[int, ...]:
                 f"diagonal entry {v} at column {j} matches no building block")
         result[slots[j]] = v
     return tuple(result)
+
+
+def diagonal_type(scroll: Scroll, table: BeilinsonTable) -> tuple[int, ...]:
+    """Filtration multiplicities (a_0, ..., a_n) read off a diagonal table.
+
+    a_0 sits in column 1, a_i in column 2i for i = 1..n.  Any other weight
+    means the input was not the -H twist of an Ulrich bundle and raises.
+    """
+    return _read_diagonal(table, [1, *range(2, 2 * scroll.n + 1, 2)])

@@ -22,7 +22,7 @@ from .p1 import hook_rank
 from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
-from .tables import IndeterminateError, md_table
+from .tables import IndeterminateError, latex_table, md_table
 from .ulrich import (block, block_atom, classify, enumerate_types, is_ulrich,
                      type_info, type_sheaf, veronese_table)
 from .verify import SUITES
@@ -35,10 +35,13 @@ EXIT_VERIFY_FAILED = 3
 # Size limits, checked before any convolution runs.  A cohomology query
 # reduces to the hook (m, 1^r) of its Bott regime: hook_rank(n + 1, m, r)
 # summands, and at most C(n + m, n + 1) * sum_{j <= r} C(n + 1, j) entries
-# in the convolution.  enumerate counts the types it would list.
+# in the convolution.  blocks, beilinson, classify and verify check the
+# widest hooks they run the same way (_check_scroll), the chi-oracle suite
+# counts its twists, and enumerate the types it would list.
 MAX_SUMMANDS = 1_000_000
 MAX_CELLS = 2_000_000
 MAX_TYPES = 10_000
+MAX_TWISTS = 10_000
 
 _DIV_FORM = re.compile(r"[+-]?\d*[HF](?:[+-]\d*[HF])*")
 _DIV_TERM = re.compile(r"([+-]?)(\d*)([HF])")
@@ -85,16 +88,48 @@ def _check_p(p: int, top: int, name: str) -> None:
 
 def _check_limit(what: str, count: int, name: str, limit: int) -> None:
     if count > limit:
-        raise ValueError(f"{what} is {count}, above the limit {name} = {limit}")
+        raise ValueError(f"{what} is at least {count}, above the limit {name} = {limit}")
+
+
+def _check_hook(n: int, m: int, r: int) -> None:
+    _check_limit("the pushforward rank", hook_rank(n + 1, m, r), "MAX_SUMMANDS", MAX_SUMMANDS)
+    # the terms C(n + m, n + 1) * C(n + 1, j), summed until past the limit
+    cells = term = comb(n + m, n + 1)
+    for j in range(1, r + 1):
+        if cells > MAX_CELLS:
+            break
+        term = term * (n + 2 - j) // j
+        cells += term
+    _check_limit("the convolution size", cells, "MAX_CELLS", MAX_CELLS)
 
 
 def _check_size(scroll: Scroll, p: int, div: DivClass) -> None:
-    n, regime = scroll.n, _bott(scroll.n, p, div.h)
+    regime = _bott(scroll.n, p, div.h)
     if regime is not None and regime[1]:
-        _, m, r = regime
-        _check_limit("the pushforward rank", hook_rank(n + 1, m, r), "MAX_SUMMANDS", MAX_SUMMANDS)
-        cells = comb(n + m, n + 1) * sum(comb(n + 1, j) for j in range(r + 1))
-        _check_limit("the convolution size", cells, "MAX_CELLS", MAX_CELLS)
+        _check_hook(scroll.n, regime[1], regime[2])
+
+
+def _check_scroll(scroll: Scroll, command: str) -> None:
+    """Check the hooks, in closed form, among which is the widest convolution
+    that ``command`` (or the verify suite of that name) runs on ``scroll``.
+
+    Each runs wedges of the splitting bundle: the top one, (1, 1^n), has the
+    widest convolution and goes first, so a large n is turned away at once;
+    the middle one has the most summands.  homvanish adds the hooks of its
+    Koszul chases, and chi-oracle those of its twists (m + r = n + 2) and of
+    its line bundles down to -(2n + 3)H, besides its own grid of twists.
+    """
+    n = scroll.n
+    hooks = [(1, n), (1, (n + 1) // 2 - 1)]
+    if command == "homvanish" and n > 1:
+        hooks += [(n - 1, 1)] + [(n, r) for r in range(2, n)]
+    elif command == "chi-oracle":
+        hooks += [(n + 3, n)] + [(n + 2 - r, r) for r in range(n + 1)]
+        # the suite's Koszul grid: p < n, |a| <= n + 2, |b| <= c + 2
+        twists = n * (2 * n + 5) * (2 * scroll.c + 5)
+        _check_limit("the chi-oracle grid", twists, "MAX_TWISTS", MAX_TWISTS)
+    for m, r in hooks:
+        _check_hook(n, m, r)
 
 
 def _check_types(scroll: Scroll, rank: int) -> None:
@@ -130,14 +165,6 @@ def _div_payload(div: DivClass) -> dict:
     return {"h": div.h, "f": div.f}
 
 
-def _h_table_latex(values, chi) -> str:
-    cols = "c|" * (len(values) + 1)
-    header = " & ".join(f"$h^{{{i}}}$" for i in range(len(values))) + r" & $\chi$ \\"
-    row = " & ".join(str(v) for v in values) + rf" & {chi} \\"
-    return "\n".join([r"\begin{tabular}{|" + cols + "}", r"\hline", header,
-                      r"\hline", row, r"\hline", r"\end{tabular}"])
-
-
 # Each command maps (args, scroll) to (result, md, latex); md or latex is
 # None where the command has no table of its own for that format.
 
@@ -156,10 +183,12 @@ def _cmd_coh(args, scroll: Scroll):
     h = list(table.values())
     result.update(div=_div_payload(div), pair=list(div.pair()), h=h, chi=table.chi)
     header = [f"h^{i}" for i in range(len(h))] + ["chi"]
-    return result, md_table(header, [h + [table.chi]]), _h_table_latex(h, table.chi)
+    tex_header = [f"$h^{{{i}}}$" for i in range(len(h))] + [r"$\chi$"]
+    return result, md_table(header, [h + [table.chi]]), latex_table([tex_header, h + [table.chi]])
 
 
 def _cmd_blocks(args, scroll: Scroll):
+    _check_scroll(scroll, args.command)
     rows = []
     for i in range(scroll.n + 1):
         sheaf = block(scroll, i)
@@ -174,6 +203,7 @@ def _cmd_blocks(args, scroll: Scroll):
 
 
 def _cmd_beilinson(args, scroll: Scroll):
+    _check_scroll(scroll, args.command)
     if _one_of(args, "input", "type", "profile") == "type":
         sheaf = type_sheaf(scroll, _parse_ints(args.type))
         table = beilinson_table(scroll, sheaf.twist(-H))
@@ -188,6 +218,7 @@ def _type_payload(info) -> dict:
 
 
 def _cmd_classify(args, scroll: Scroll):
+    _check_scroll(scroll, args.command)
     if _one_of(args, "input", "type", "profile") == "type":
         mults = classify(scroll, sheaf=type_sheaf(scroll, _parse_ints(args.type)))
     else:
@@ -213,6 +244,7 @@ def _cmd_enumerate(args, scroll: Scroll):
 
 
 def _cmd_verify(args, scroll: Scroll):
+    _check_scroll(scroll, args.suite)
     passed, details = SUITES[args.suite](scroll)
     result = {"suite": args.suite, "passed": passed, "details": details}
     return result, f"suite {args.suite}: {'pass' if passed else 'FAIL'}", None

@@ -77,7 +77,7 @@ class Scroll:
         degs = tuple(sorted(int(a) for a in self.degrees))
         if len(degs) < 2:
             raise ValueError("a scroll needs at least two splitting degrees")
-        if not degs or degs[0] <= 0:
+        if degs[0] <= 0:
             raise ValueError("splitting degrees must be positive")
         object.__setattr__(self, "degrees", degs)
 

@@ -1,5 +1,5 @@
 """Per-degree dimension tables, exact or interval-valued, and the one
-Markdown renderer every printed table goes through."""
+Markdown and one LaTeX renderer every printed table goes through."""
 
 from __future__ import annotations
 
@@ -157,4 +157,17 @@ def md_table(header, rows) -> str:
     """A Markdown table: the header row, the rule, then one line per row."""
     lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
     lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return "\n".join(lines)
+
+
+def latex_table(*sections) -> str:
+    """A LaTeX tabular of sections of rows, ruled above and below every row and
+    twice between sections; the first row sets the column count."""
+    lines = [r"\begin{tabular}{|" + "c|" * len(sections[0][0]) + "}", r"\hline"]
+    for k, rows in enumerate(sections):
+        if k:
+            lines.append(r"\hline")
+        for row in rows:
+            lines += [" & ".join(str(cell) for cell in row) + r" \\", r"\hline"]
+    lines.append(r"\end{tabular}")
     return "\n".join(lines)

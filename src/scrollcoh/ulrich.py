@@ -15,7 +15,7 @@ from math import comb
 from types import MappingProxyType
 
 from ._value import value
-from .beilinson import (BeilinsonTable, NotDiagonalError, _profile_entries,
+from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
                         beilinson_table, beilinson_table_from_profile,
                         diagonal_type)
 from .relative import pn_omega_cohomology, sheaf_cohomology
@@ -145,21 +145,24 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
         rank = h0 // scroll.c
     if rank < 1:
         return []
-    weights = tuple(comb(scroll.n, i) for i in range(scroll.n + 1))
+    # An odometer over a_0 .. a_{n-1}, whose blocks have rank C(n, i); the
+    # last block has rank C(n, n) = 1 and takes what is left.  rest[i] is the
+    # rank left after a_0 .. a_{i-1}.
+    n = scroll.n
+    weights = tuple(comb(n, i) for i in range(n))
+    acc, rest = [0] * n, [rank] * (n + 1)
     found: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, acc: list[int]) -> None:
-        if pos == scroll.n:
-            # the last block has rank C(n, n) = 1 and takes what is left
-            found.append((*acc, remaining))
-            return
-        for a in range(remaining // weights[pos] + 1):
-            acc.append(a)
-            rec(pos + 1, remaining - a * weights[pos], acc)
-            acc.pop()
-
-    rec(0, rank, [])
-    return [type_info(scroll, t) for t in found]
+    while True:
+        found.append((*acc, rest[n]))
+        pos = n - 1
+        while pos >= 0 and rest[pos + 1] < weights[pos]:
+            pos -= 1
+        if pos < 0:
+            return [type_info(scroll, t) for t in found]
+        acc[pos] += 1
+        rest[pos + 1] -= weights[pos]
+        acc[pos + 1:] = [0] * (n - 1 - pos)
+        rest[pos + 2:] = [rest[pos + 1]] * (n - 1 - pos)
 
 
 def _pn_labels(dim: int) -> tuple[tuple[str, ...], tuple[str, ...],
@@ -190,13 +193,7 @@ def veronese_table(dim: int, profile: dict | None = None,
     size = dim + 1
     if atom is not None:
         p, k = atom
-        entries: dict[tuple[int, int], int] = {}
-        for j in range(size):
-            table = pn_omega_cohomology(dim, p, k - j)
-            for q in range(dim + 1):
-                v = table.h(q)
-                if v:
-                    entries[(j, q)] = v
+        entries = _grid((pn_omega_cohomology(dim, p, k - j), 0) for j in range(size))
     else:
         entries = _profile_entries(profile, size)
     f_plain, f_tex, e_plain, e_tex = _pn_labels(dim)
@@ -207,9 +204,6 @@ def veronese_table(dim: int, profile: dict | None = None,
 
 def veronese_classify(table: BeilinsonTable) -> int:
     """Multiplicity of the unique indecomposable Ulrich bundle on the
-    Veronese surface, read off the single admissible diagonal slot; any
-    weight elsewhere raises."""
-    for (j, q), v in sorted(table.entries.items()):
-        if (j, q) != (1, 1):
-            raise NotDiagonalError(f"unexpected entry {v} at column {j}, row {q}")
-    return table.entry(1, 1)
+    Veronese surface, read off the single admissible diagonal slot, that of
+    column 1; any weight elsewhere raises NotDiagonalError."""
+    return _read_diagonal(table, [1])[0]

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from scrollcoh.cli import MAX_TYPES, main
+from scrollcoh import Scroll
+from scrollcoh.cli import (MAX_CELLS, MAX_SUMMANDS, MAX_TWISTS, MAX_TYPES,
+                           _check_hook, _check_scroll, main)
 
 
 def run(capsys, *argv):
@@ -338,3 +340,66 @@ def test_sizes_at_the_limits_run(capsys):
     assert len(types["result"]["types"]) == MAX_TYPES
     h = run_json(capsys, "line-coh", "--scroll", "1,2,3,4,5", "--div", "40H")["result"]["h"]
     assert h[0] == 16425871  # 40H sits below MAX_CELLS on five summands
+
+
+def test_enumerate_on_a_thousand_and_one_summands(capsys):
+    # one recursion level per block used to end in a RecursionError traceback
+    payload = run_json(capsys, "enumerate", "--scroll", ",".join(["1"] * 1001), "--rank", "1")
+    types = [t["type"] for t in payload["result"]["types"]]
+    assert types == [[0] * 1000 + [1], [1] + [0] * 1000]
+
+
+def ones(k):
+    return ",".join(["1"] * k)
+
+
+def first_block(k):
+    return ",".join(["1"] + ["0"] * (k - 1))
+
+
+# blocks, beilinson, classify and the duality and blocks suites reach the top
+# wedge (1, 1^n), whose 2^(n+1) - 1 cells pass MAX_CELLS from n = 20 (21
+# summands) on; homvanish passes it at n = 8 and chi-oracle at n = 7.  The
+# chi-oracle grid n(2n+5)(2c+5) is 10003 on S(1, 711).  All are refused before
+# any convolution, the 5001-summand scroll included.
+@pytest.mark.parametrize("argv,limit", [
+    (["blocks", "--scroll", ones(21)], "MAX_CELLS"),
+    (["blocks", "--scroll", ones(5001)], "MAX_CELLS"),
+    (["beilinson", "--scroll", ones(21), "--type", first_block(21)], "MAX_CELLS"),
+    (["beilinson", "--scroll", ones(21), "--profile", "missing.json"], "MAX_CELLS"),
+    (["classify", "--scroll", ones(21), "--type", first_block(21)], "MAX_CELLS"),
+    (["verify", "--suite", "duality", "--scroll", ones(21)], "MAX_CELLS"),
+    (["verify", "--suite", "blocks", "--scroll", ones(21)], "MAX_CELLS"),
+    (["verify", "--suite", "homvanish", "--scroll", ones(9)], "MAX_CELLS"),
+    (["verify", "--suite", "chi-oracle", "--scroll", ones(8)], "MAX_CELLS"),
+    (["verify", "--suite", "chi-oracle", "--scroll", "1,711"], "MAX_TWISTS"),
+])
+def test_scroll_size_limits_exit_one(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and f"above the limit {limit} = " in err
+
+
+def test_scroll_sizes_at_the_limits_run(capsys):
+    for argv in (["blocks", "--scroll", ones(20)],
+                 ["beilinson", "--scroll", ones(20), "--type", first_block(20)],
+                 ["classify", "--scroll", ones(20), "--type", first_block(20)],
+                 ["verify", "--suite", "duality", "--scroll", ones(20)]):
+        assert run(capsys, *argv)[0] == 0, argv
+    # the slower suites only pass their checks here
+    for degrees, suite in (((1,) * 8, "homvanish"), ((1,) * 7, "chi-oracle"),
+                           ((1, 710), "chi-oracle")):
+        _check_scroll(Scroll(degrees), suite)
+    assert 7 * (2 * 711 + 5) <= MAX_TWISTS < 7 * (2 * 712 + 5)
+
+
+def test_hook_limits_at_their_edges():
+    # (1, 1^0) on n + 1 letters has n + 1 summands in one cell, and the top
+    # wedge (1, 1^n) one summand in 2^(n+1) - 1 cells
+    _check_hook(MAX_SUMMANDS - 1, 1, 0)
+    with pytest.raises(ValueError, match="MAX_SUMMANDS"):
+        _check_hook(MAX_SUMMANDS, 1, 0)
+    _check_hook(19, 1, 19)
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        _check_hook(20, 1, 20)
+    assert 2 ** 20 - 1 <= MAX_CELLS < 2 ** 21 - 1

@@ -62,6 +62,14 @@ def test_hook_sums_count_tableaux(degs, m, data):
     assert _expand(_hook_sums(degs, m, p)) == brute_hook_degrees(degs, m, p)
 
 
+@given(degree_lists.filter(lambda d: len(d) >= 2), st.integers(1, 5), st.data())
+def test_pieri_identity(degs, m, data):
+    # sym(m) (x) wedge(p) = hook(m, p) (+) hook(m+1, p-1) as multisets
+    B = SplitBundle(degs)
+    p = data.draw(st.integers(1, B.rank - 1))
+    assert B.sym(m).tensor(B.wedge(p)) == B.hook(m, p) + B.hook(m + 1, p - 1)
+
+
 @given(degree_lists, st.data())
 def test_sym_and_wedge_at_the_ends(degs, data):
     B = SplitBundle(degs)

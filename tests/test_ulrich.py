@@ -158,6 +158,14 @@ def test_veronese_threefold_profile():
         veronese_classify(table)
 
 
+def test_veronese_classify_rejects_other_diagonal_slots():
+    # (2, 2) is on the diagonal but column 2 holds no Ulrich bundle
+    table = veronese_table(2, profile={"entries": [{"j": 2, "q": 2, "h": 1}]})
+    assert table.is_diagonal
+    with pytest.raises(NotDiagonalError):
+        veronese_classify(table)
+
+
 def test_veronese_zero_profile():
     table = veronese_table(3, profile={"entries": []})
     assert not table.entries

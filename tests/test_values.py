@@ -140,3 +140,14 @@ def test_cli_import_does_not_load_dataclasses():
          "import scrollcoh.cli, sys; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_adds_no_heavy_modules():
+    # what `import scrollcoh.cli` adds to a bare interpreter's modules
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import sys; bare = set(sys.modules); import scrollcoh.cli; "
+              "print(*sorted(set(sys.modules) - bare))")
+    added = set(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, env=env, check=True, timeout=120).stdout.split())
+    assert "scrollcoh.cli" in added
+    assert not added & {"dataclasses", "inspect", "dis", "tokenize", "ast", "typing"}
