@@ -8,44 +8,60 @@ interval-valued dimension chases, the full exceptional collection with its
 right dual, Beilinson tables, and the classification of Ulrich bundles by
 filtration multiplicities.  Everything is pure and deterministic over
 immutable values.
+
+Importing the package loads none of its modules: each name below, and each
+submodule as an attribute, is imported on first use (PEP 562) and then kept
+in the package namespace, so later lookups cost what a plain global does.
 """
 
-from .p1 import SplitBundle, hook_rank
-from .tables import (CohomTable, IndeterminateError, intersect, solve_quotient,
-                     solve_sub)
-from .scroll import DivClass, F, H, Scroll, line_cohomology
-from .sheaves import (Atom, FormalSheaf, ZERO_SHEAF, atom_c1, atom_rank,
-                      deg_H, deg_slope, dual_atom, line_atom, omega_atom,
-                      sheaf_c1, sheaf_rank)
-from .relative import (atom_cohomology, chase_bounds, fiber_degree,
-                       koszul_resolution, omega_cohomology,
-                       pn_omega_cohomology, rel_pushforward, sheaf_chi,
-                       sheaf_cohomology)
-from .homext import ext_line_vs_atom, hom_upper_bound, segre_ext1
-from .beilinson import (BeilinsonTable, Collection, CollectionMember,
-                        DualityReport, NotDiagonalError, atom_label,
-                        beilinson_table, beilinson_table_from_profile,
-                        build_collections, diagonal_type, duality_report,
-                        sigma, verify_duality)
-from .ulrich import (NotUlrichError, TypeInfo, UlrichVerdict, block,
-                     block_atom, classify, enumerate_types, is_ulrich,
-                     type_info, type_sheaf, veronese_classify, veronese_table)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom", "BeilinsonTable", "CohomTable", "Collection", "CollectionMember",
-    "DivClass", "DualityReport", "F", "FormalSheaf", "H",
-    "IndeterminateError", "NotDiagonalError", "NotUlrichError", "Scroll",
-    "SplitBundle", "TypeInfo", "UlrichVerdict", "ZERO_SHEAF", "atom_c1",
-    "atom_cohomology", "atom_label", "atom_rank", "beilinson_table",
-    "beilinson_table_from_profile", "block", "block_atom", "build_collections",
-    "chase_bounds", "classify", "deg_H", "deg_slope", "diagonal_type",
-    "dual_atom", "duality_report", "enumerate_types", "ext_line_vs_atom",
-    "fiber_degree", "hom_upper_bound", "hook_rank", "intersect", "is_ulrich",
-    "koszul_resolution", "line_atom", "line_cohomology", "omega_atom",
-    "omega_cohomology", "pn_omega_cohomology", "rel_pushforward", "segre_ext1",
-    "sheaf_c1", "sheaf_chi", "sheaf_cohomology", "sheaf_rank", "sigma",
-    "solve_quotient", "solve_sub", "type_info", "type_sheaf", "verify_duality",
-    "veronese_classify", "veronese_table",
-]
+# Each submodule and the names the package exports from it.
+_EXPORTS = {
+    "p1": ("SplitBundle", "hook_rank"),
+    "tables": ("CohomTable", "IndeterminateError", "intersect", "solve_quotient",
+               "solve_sub"),
+    "scroll": ("DivClass", "F", "H", "Scroll", "line_cohomology"),
+    "sheaves": ("Atom", "FormalSheaf", "ZERO_SHEAF", "atom_c1", "atom_rank", "deg_H",
+                "deg_slope", "dual_atom", "line_atom", "omega_atom", "sheaf_c1",
+                "sheaf_rank"),
+    "relative": ("atom_cohomology", "chase_bounds", "fiber_degree",
+                 "koszul_resolution", "omega_cohomology", "pn_omega_cohomology",
+                 "rel_pushforward", "sheaf_chi", "sheaf_cohomology"),
+    "homext": ("ext_line_vs_atom", "hom_upper_bound", "segre_ext1"),
+    "beilinson": ("BeilinsonTable", "Collection", "CollectionMember", "DualityReport",
+                  "NotDiagonalError", "atom_label", "beilinson_table",
+                  "beilinson_table_from_profile", "build_collections", "diagonal_type",
+                  "duality_report", "sigma", "verify_duality"),
+    "ulrich": ("NotUlrichError", "TypeInfo", "UlrichVerdict", "block", "block_atom",
+               "classify", "enumerate_types", "is_ulrich", "type_info", "type_sheaf",
+               "veronese_classify", "veronese_table"),
+    "verify": (),
+    "cli": (),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def _submodule(name):
+    # __import__ rather than importlib, which a bare interpreter has not loaded
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _submodule(name)  # the import also binds it in this namespace
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_submodule(_OWNER[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

@@ -5,32 +5,35 @@ engines, and the results emitted as JSON (default), Markdown or LaTeX; the
 numeric content is identical across formats and repeated invocations are
 byte-identical.  Results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 invalid input, 2 an indeterminate interval where exactness was
-required, 3 a verification suite failure.
+required, 3 a verification suite failure, 141 a stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from fractions import Fraction
 from math import comb
 
+# Every engine layer is imported here, not in the handlers: perfbench's tracer
+# looks each one up in sys.modules after `from scrollcoh import cli`.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
 from .p1 import hook_rank
 from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
 from .tables import IndeterminateError, latex_table, md_table
-from .ulrich import (block, block_atom, classify, enumerate_types, is_ulrich,
-                     type_info, type_sheaf, veronese_table)
+from .ulrich import (_block_ranks, block, block_atom, classify, enumerate_types,
+                     is_ulrich, type_info, type_sheaf, veronese_table)
 from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INDETERMINATE = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
 # Size limits, checked before any convolution runs.  A cohomology query
 # reduces to the hook (m, 1^r) of its Bott regime: hook_rank(n + 1, m, r)
@@ -136,7 +139,7 @@ def _check_types(scroll: Scroll, rank: int) -> None:
     # ways[t] counts the a_0..a_n with sum a_i C(n, i) = t; as a_0 + a_n = rank
     # alone gives rank + 1 types, a rank of MAX_TYPES or more is over at once
     ways = [1] + [0] * min(rank, MAX_TYPES)
-    for w in (comb(scroll.n, i) for i in range(scroll.n + 1)):
+    for w in _block_ranks(scroll.n):
         for t in range(w, len(ways)):
             ways[t] += ways[t - w]
     count = rank + 1 if rank >= MAX_TYPES else ways[rank]
@@ -157,7 +160,8 @@ def _load_profile(path: str) -> dict:
         return json.load(handle)
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x) -> str:
+    """A fractions.Fraction as "p/q"."""
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -314,8 +318,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_divisors(argv: list[str]) -> list[str]:
+    """Each --div and --pair joined with the word after it, as in --div=-1H,
+    so that argparse does not take a negative divisor for an option."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in ("--div", "--pair"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_divisors(sys.argv[1:] if argv is None else argv))
     try:
         text = getattr(args, "scroll", None)
         scroll = None if text is None else Scroll(_parse_ints(text))
@@ -328,18 +344,26 @@ def main(argv=None) -> int:
             dump = json.dumps(payload, sort_keys=True, indent=2)
             out = (f"```json\n{dump}\n```" if args.format == "md"
                    else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
-        print(out)
     except (IndeterminateError, ValueError, KeyError, OSError) as exc:
         # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE if isinstance(exc, IndeterminateError) else EXIT_INVALID
+    print(out)  # outside the try: a closed stdout is not an invalid input
     if args.command == "verify" and not result["passed"]:
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: point stdout at
+        # devnull, so the flush at exit stays quiet, and stop without a word.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ the additive invariants rank, first Chern class and Euler characteristic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from ._value import value
@@ -121,6 +120,8 @@ def deg_H(scroll: Scroll, div: DivClass) -> int:
 
 def deg_slope(scroll: Scroll, sheaf: FormalSheaf) -> tuple[int, DivClass, int, Fraction]:
     """(rank, c1, H-degree, slope), with the slope an exact rational."""
+    from fractions import Fraction  # here, so start-up without slopes skips it
+
     rank = sheaf_rank(scroll, sheaf)
     if rank == 0:
         raise ValueError("slope undefined for rank zero")

@@ -10,8 +10,6 @@ from numerics alone, only slopes and Hom/Ext bounds are reported.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
 from types import MappingProxyType
 
 from ._value import value
@@ -32,6 +30,15 @@ def block_atom(scroll: Scroll, i: int) -> Atom:
     atom = omega_atom(scroll, i, DivClass.from_pair(i, i + 1))
     assert atom is not None
     return atom
+
+
+def _block_ranks(n: int) -> list[int]:
+    """The block ranks C(n, 0), ..., C(n, n), each from the one before: on
+    thousands of summands, math.comb afresh for every i costs seconds."""
+    ranks = [1]
+    for i in range(n):
+        ranks.append(ranks[-1] * (n - i) // (i + 1))
+    return ranks
 
 
 def block(scroll: Scroll, i: int) -> FormalSheaf:
@@ -109,7 +116,7 @@ class TypeInfo:
     rank: int
     c1: DivClass
     h0: int
-    slope: Fraction
+    slope: Fraction  # fractions.Fraction, made by sheaves.deg_slope
     line_block_positions: tuple[int, ...]
 
 
@@ -149,7 +156,7 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
     # last block has rank C(n, n) = 1 and takes what is left.  rest[i] is the
     # rank left after a_0 .. a_{i-1}.
     n = scroll.n
-    weights = tuple(comb(n, i) for i in range(n))
+    weights = _block_ranks(n)[:n]
     acc, rest = [0] * n, [rank] * (n + 1)
     found: list[tuple[int, ...]] = []
     while True:

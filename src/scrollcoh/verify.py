@@ -1,8 +1,8 @@
 """Verification suites for the claims the engines rest on: the Kronecker
 pairing (duality), the Ulrich blocks (blocks), Hom vanishing (homvanish) and
 the Koszul Euler-characteristic oracle (chi-oracle).  Each suite maps a
-scroll to (passed, details) with JSON-ready details.  The package does not
-import this module; the command line and the acceptance tests do.
+scroll to (passed, details) with JSON-ready details.  The package exports
+none of its names; the command line and the acceptance tests import it.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from scrollcoh import Scroll
-from scrollcoh.cli import (MAX_CELLS, MAX_SUMMANDS, MAX_TWISTS, MAX_TYPES,
-                           _check_hook, _check_scroll, main)
+from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_SUMMANDS, MAX_TWISTS,
+                           MAX_TYPES, _check_hook, _check_scroll, main)
 
 
 def run(capsys, *argv):
@@ -347,6 +348,44 @@ def test_enumerate_on_a_thousand_and_one_summands(capsys):
     payload = run_json(capsys, "enumerate", "--scroll", ",".join(["1"] * 1001), "--rank", "1")
     types = [t["type"] for t in payload["result"]["types"]]
     assert types == [[0] * 1000 + [1], [1] + [0] * 1000]
+
+
+def test_enumerate_on_six_thousand_and_one_summands(capsys):
+    # the block ranks C(n, i) once took a math.comb each: 7 s here
+    start = time.perf_counter()
+    payload = run_json(capsys, "enumerate", "--scroll", ",".join(["1"] * 6001), "--rank", "1")
+    assert time.perf_counter() - start < 2.0
+    types = [t["type"] for t in payload["result"]["types"]]
+    assert types == [[0] * 6000 + [1], [1] + [0] * 6000]
+
+
+@pytest.mark.parametrize("argv", [
+    ["line-coh", "--scroll", "1,2", "--div", "-1H"],
+    ["line-coh", "--scroll", "1,2", "--pair", "-1,2"],
+    ["line-coh", "--scroll", "1,1,2", "--div", "-F+2H", "--format", "md"],
+    ["omega-coh", "--scroll", "1,1,1", "--pair", "-2,-1", "--p", "1"],
+])
+def test_negative_divisor_as_a_separate_word(capsys, argv):
+    at = argv.index("--div") if "--div" in argv else argv.index("--pair")
+    joined = argv[:at] + [f"{argv[at]}={argv[at + 1]}"] + argv[at + 2:]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert (code, out, err) == run(capsys, *joined)
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the command writes, as `| head` leaves it
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "scrollcoh.cli", "enumerate",
+                               "--scroll", "1,1,1", "--rank", "40", "--format", "md"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def ones(k):
