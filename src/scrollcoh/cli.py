@@ -18,7 +18,8 @@ import sys
 from math import comb
 
 # Every engine layer is imported here, not in the handlers: perfbench's tracer
-# looks each one up in sys.modules after `from scrollcoh import cli`.
+# looks each one up in sys.modules after `from scrollcoh import cli`.  The
+# suites are not a layer, so only _cmd_verify imports scrollcoh.verify.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
 from .p1 import hook_rank
 from .relative import _bott, omega_cohomology
@@ -27,7 +28,6 @@ from .sheaves import deg_slope
 from .tables import IndeterminateError, latex_table, md_table
 from .ulrich import (_block_ranks, block, block_atom, classify, enumerate_types,
                      is_ulrich, type_info, type_sheaf, veronese_table)
-from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -46,8 +46,14 @@ MAX_CELLS = 2_000_000
 MAX_TYPES = 10_000
 MAX_TWISTS = 10_000
 
-_DIV_FORM = re.compile(r"[+-]?\d*[HF](?:[+-]\d*[HF])*")
-_DIV_TERM = re.compile(r"([+-]?)(\d*)([HF])")
+# the names of verify.SUITES, so that building the parser imports no suite
+SUITE_NAMES = ("duality", "blocks", "homvanish", "chi-oracle")
+
+# Integers are ASCII digits with an optional sign; the divisor patterns are
+# compiled on first use (re caches them).
+_INT = r"[+-]?[0-9]+"
+_DIV_FORM = r"[+-]?[0-9]*[HF](?:[+-][0-9]*[HF])*"
+_DIV_TERM = r"([+-]?)([0-9]*)([HF])"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,9 +62,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    """One integer, [+-]?[0-9]+, with spaces around it allowed."""
+    text = text.strip()
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its messages: "invalid int value"
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(_int, text.split(",")))
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -67,10 +84,10 @@ def _parse_div(text: str) -> DivClass:
     """aH+bF with optional coefficients; every term after the first starts
     with a sign, and spaces are ignored."""
     s = text.replace(" ", "")
-    if s != "0" and not _DIV_FORM.fullmatch(s):
+    if s != "0" and not re.fullmatch(_DIV_FORM, s):
         raise ValueError(f"cannot parse divisor {text!r}; expected the form aH+bF")
     coeffs = {"H": 0, "F": 0}
-    for sign, digits, basis in _DIV_TERM.findall(s):
+    for sign, digits, basis in re.findall(_DIV_TERM, s):
         coeffs[basis] += int(sign + (digits or "1"))
     return DivClass(coeffs["H"], coeffs["F"])
 
@@ -248,6 +265,8 @@ def _cmd_enumerate(args, scroll: Scroll):
 
 
 def _cmd_verify(args, scroll: Scroll):
+    from .verify import SUITES
+
     _check_scroll(scroll, args.suite)
     passed, details = SUITES[args.suite](scroll)
     result = {"suite": args.suite, "passed": passed, "details": details}
@@ -291,7 +310,7 @@ def _build_parser() -> _Parser:
 
     p = command("omega-coh", _cmd_coh, "cohomology of twisted relative differentials")
     divisor(p)
-    p.add_argument("--p", type=int, help="exterior power index, 0..n")
+    p.add_argument("--p", type=_int, help="exterior power index, 0..n")
 
     command("blocks", _cmd_blocks, "the building blocks and their invariants")
 
@@ -302,17 +321,17 @@ def _build_parser() -> _Parser:
                             "filtration multiplicities of an Ulrich bundle"))
 
     p = command("enumerate", _cmd_enumerate, "all Ulrich types of a given rank or h0")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--h0", type=int)
+    p.add_argument("--rank", type=_int)
+    p.add_argument("--h0", type=_int)
 
     p = command("verify", _cmd_verify, "run a verification suite")
-    p.add_argument("--suite", choices=tuple(SUITES), required=True)
+    p.add_argument("--suite", choices=SUITE_NAMES, required=True)
 
     p = command("veronese", _cmd_veronese, "Beilinson table on P^2 or P^3 with the "
                                            "degree-two polarisation", scroll=False)
-    p.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p.add_argument("--p", type=int, help="differential index of the input atom, 0..dim")
-    p.add_argument("--twist", type=int, default=0, help="twist of the input atom")
+    p.add_argument("--dim", type=_int, choices=(2, 3), required=True)
+    p.add_argument("--p", type=_int, help="differential index of the input atom, 0..dim")
+    p.add_argument("--twist", type=_int, default=0, help="twist of the input atom")
     p.add_argument("--profile", help="path to a profile JSON file")
 
     return parser

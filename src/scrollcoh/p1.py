@@ -10,13 +10,20 @@ Schur functor (m, 1^p), rather than tableau-by-tableau enumeration, which
 keeps high powers cheap: Sym^k is the hook (k) and Wedge^k the hook
 (1, 1^(k-1)).  The tableau description is what the test suite enumerates
 against.
+
+Every bundle is normalised in one C-level pass (int conversion and sort),
+twists and duals map a C callable over the degrees, and h^0, h^1 are read by
+bisecting the sorted degrees at the sign boundary and summing one side.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 from math import comb
+from operator import neg
 
 from ._value import value
 
@@ -85,7 +92,7 @@ class SplitBundle:
     degrees: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in self.degrees)))
+        object.__setattr__(self, "degrees", tuple(sorted(map(int, self.degrees))))
 
     @property
     def rank(self) -> int:
@@ -106,10 +113,14 @@ class SplitBundle:
 
     def h(self, i: int) -> int:
         """dim H^i; only i = 0, 1 can be nonzero on the line."""
+        # sums of d + 1 over d >= 0 and of -d - 1 over d <= -2, one side each
+        degs = self.degrees
         if i == 0:
-            return sum(d + 1 for d in self.degrees if d >= 0)
+            k = bisect_left(degs, 0)
+            return sum(islice(degs, k, None)) + len(degs) - k
         if i == 1:
-            return sum(-d - 1 for d in self.degrees if d <= -2)
+            k = bisect_left(degs, -1)
+            return -sum(islice(degs, k)) - k
         return 0
 
     @property
@@ -144,10 +155,10 @@ class SplitBundle:
         return SplitBundle(_expand(_hook_sums(self.degrees, m, p)))
 
     def dual(self) -> SplitBundle:
-        return SplitBundle(-d for d in self.degrees)
+        return SplitBundle(map(neg, self.degrees))
 
     def twist(self, b: int) -> SplitBundle:
-        return SplitBundle(d + b for d in self.degrees)
+        return SplitBundle(map(b.__add__, self.degrees))
 
     def tensor(self, other: SplitBundle) -> SplitBundle:
         acc: dict[int, int] = {}

@@ -317,6 +317,47 @@ def test_pair_needs_two_values(capsys, pair):
     assert err.startswith("error: ") and "u,v" in err
 
 
+def run_exit(capsys, *argv):
+    """Like run, with argparse's SystemExit read as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# Integers are [+-]?[0-9]+: the underscores and non-ASCII digits that int()
+# accepts are refused in every integer option and list item, and in --div.
+@pytest.mark.parametrize("argv", [
+    ["line-coh", "--scroll", "1_0,2", "--pair", "1_0,0"],
+    ["line-coh", "--scroll", "1,2", "--pair", "1_0,0"],
+    ["line-coh", "--scroll", "1,2", "--div", "1_0H"],
+    ["line-coh", "--scroll", "1,2", "--div", "\u0661H"],
+    ["classify", "--scroll", "1,2", "--type", "\u0661,1"],
+    ["beilinson", "--scroll", "1,2", "--type", "1,\uff11"],
+    ["omega-coh", "--scroll", "1,2", "--div", "H", "--p", "1_0"],
+    ["omega-coh", "--scroll", "\uff11,2", "--div", "H", "--p", "1"],
+    ["enumerate", "--scroll", "1,2", "--rank", "\u0662"],
+    ["enumerate", "--scroll", "1,2", "--h0", "6_0"],
+    ["veronese", "--dim", "\u0662", "--p", "1"],
+    ["veronese", "--dim", "2", "--p", "1", "--twist", "1_0"],
+])
+def test_integers_are_ascii_digits(capsys, argv):
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 1 and not out
+    assert err and "Traceback" not in err
+
+
+def test_spaces_around_integers_are_allowed(capsys):
+    spaced = run_json(capsys, "omega-coh", "--scroll", " 1, 2 ", "--pair", " -1 ,2",
+                      "--p", " 1 ")
+    assert spaced == run_json(capsys, "omega-coh", "--scroll", "1,2", "--pair", "-1,2",
+                              "--p", "1")
+    assert run_json(capsys, "classify", "--scroll", "1,2", "--type", "+1, 1") == \
+        run_json(capsys, "classify", "--scroll", "1,2", "--type", "1,1")
+
+
 # Each input is refused from closed-form sizes before any convolution runs;
 # unchecked they end in an OverflowError or MemoryError traceback, or run for
 # minutes.

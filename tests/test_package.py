@@ -45,6 +45,15 @@ def test_cli_without_slopes_loads_no_fractions():
     assert not set(added) & {"fractions", "decimal", "numbers"}
 
 
+def test_cli_loads_verify_only_for_the_verify_command():
+    run = ("import scrollcoh.cli\n"
+           "scrollcoh.cli.main(['line-coh', '--scroll', '1,2', '--div', '2H'])")
+    assert "scrollcoh.verify" not in fresh(ADDED.format(run))
+    run = ("import scrollcoh.cli\n"
+           "scrollcoh.cli.main(['verify', '--suite', 'blocks', '--scroll', '1,2'])")
+    assert "scrollcoh.verify" in fresh(ADDED.format(run))
+
+
 def test_exports_are_the_defining_modules_objects():
     code = """
 import importlib, json, scrollcoh

@@ -1,10 +1,11 @@
 """Property tests beyond the fixed sweeps: the hook convolution against
 tableaux enumerated one by one, Serre duality of the pushforward engine on
 generated scrolls, the Bott dimensions on projective space, chase intervals
-around the exact values, the classification round trip and the arithmetic
-of dimension tables."""
+around the exact values, the classification round trip, the arithmetic
+of dimension tables, and the split-bundle constructor, cohomology, twist and
+dual against their per-summand formulas."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees
@@ -54,6 +55,27 @@ def test_pn_bott_symmetry(n, data, k):
 
 
 degree_lists = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(lambda d: tuple(sorted(d)))
+
+
+# unsorted degrees on both sides of the h^0 / h^1 boundary (-1 has neither),
+# booleans among them, the empty bundle included
+raw_degrees = st.lists(st.one_of(st.integers(-6, 4), st.booleans()), max_size=8)
+
+
+@example([], 0)
+@example([1, -3, 0, -1, -2, 1], -1)
+@example([True, -2, False, True], 2)
+@given(raw_degrees, st.integers(-5, 5))
+def test_split_bundle_matches_per_summand_formulas(x, b):
+    want = sorted(int(d) for d in x)
+    B = SplitBundle(x)
+    assert B.degrees == tuple(want)
+    assert all(type(d) is int for d in B.degrees)
+    assert B.h(0) == B.h0 == sum(d + 1 for d in want if d >= 0)
+    assert B.h(1) == B.h1 == sum(-d - 1 for d in want if d <= -2)
+    assert B.h(2) == 0
+    assert B.twist(b).degrees == tuple(sorted(d + b for d in want))
+    assert B.dual().degrees == tuple(sorted(-d for d in want))
 
 
 @given(degree_lists, st.integers(1, 6), st.data())

@@ -6,7 +6,7 @@ import pytest
 
 from scrollcoh import CohomTable, Scroll, omega_cohomology
 from scrollcoh import verify
-from scrollcoh.cli import main
+from scrollcoh.cli import SUITE_NAMES, main
 
 
 def _off_by_one(scroll, p, div):
@@ -34,3 +34,8 @@ def test_failed_suite_exits_three(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["passed"] is False
     assert main(["verify", "--suite", "chi-oracle", "--scroll", "1,2", "--format", "md"]) == 3
     assert capsys.readouterr().out == "suite chi-oracle: FAIL\n"
+
+
+def test_cli_suite_names_are_the_suites():
+    # the CLI lists the suites without importing them
+    assert SUITE_NAMES == tuple(verify.SUITES)
