@@ -37,12 +37,17 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 
 # Size limits, checked before any convolution runs.  A cohomology query
 # reduces to the hook (m, 1^r) of its Bott regime: hook_rank(n + 1, m, r)
-# summands, and at most C(n + m, n + 1) * sum_{j <= r} C(n + 1, j) entries
-# in the convolution.  blocks, beilinson, classify and verify check the
+# summands, and at most C(n + m, n + 1) * sum_{j <= r} C(n + 1, j) nonzero
+# counts in the convolution.  The convolution packs each of its m + r + 2
+# degree distributions into one integer with a slot per degree, so it also
+# holds up to (m + r + 2) * ((m + r) * spread + 1) slots, spread being the
+# largest minus the least splitting degree; below MAX_SUMMANDS a slot takes
+# at most three bytes.  blocks, beilinson, classify and verify check the
 # widest hooks they run the same way (_check_scroll), the chi-oracle suite
 # counts its twists, and enumerate the types it would list.
 MAX_SUMMANDS = 1_000_000
 MAX_CELLS = 2_000_000
+MAX_SLOTS = 10_000_000
 MAX_TYPES = 10_000
 MAX_TWISTS = 10_000
 
@@ -111,7 +116,7 @@ def _check_limit(what: str, count: int, name: str, limit: int) -> None:
         raise ValueError(f"{what} is at least {count}, above the limit {name} = {limit}")
 
 
-def _check_hook(n: int, m: int, r: int) -> None:
+def _check_hook(n: int, m: int, r: int, spread: int = 0) -> None:
     _check_limit("the pushforward rank", hook_rank(n + 1, m, r), "MAX_SUMMANDS", MAX_SUMMANDS)
     # the terms C(n + m, n + 1) * C(n + 1, j), summed until past the limit
     cells = term = comb(n + m, n + 1)
@@ -121,12 +126,18 @@ def _check_hook(n: int, m: int, r: int) -> None:
         term = term * (n + 2 - j) // j
         cells += term
     _check_limit("the convolution size", cells, "MAX_CELLS", MAX_CELLS)
+    slots = (m + r + 2) * ((m + r) * spread + 1)
+    _check_limit("the packed convolution size", slots, "MAX_SLOTS", MAX_SLOTS)
+
+
+def _spread(scroll: Scroll) -> int:
+    return scroll.degrees[-1] - scroll.degrees[0]
 
 
 def _check_size(scroll: Scroll, p: int, div: DivClass) -> None:
     regime = _bott(scroll.n, p, div.h)
     if regime is not None and regime[1]:
-        _check_hook(scroll.n, regime[1], regime[2])
+        _check_hook(scroll.n, regime[1], regime[2], _spread(scroll))
 
 
 def _check_scroll(scroll: Scroll, command: str) -> None:
@@ -149,7 +160,7 @@ def _check_scroll(scroll: Scroll, command: str) -> None:
         twists = n * (2 * n + 5) * (2 * scroll.c + 5)
         _check_limit("the chi-oracle grid", twists, "MAX_TWISTS", MAX_TWISTS)
     for m, r in hooks:
-        _check_hook(n, m, r)
+        _check_hook(n, m, r, _spread(scroll))
 
 
 def _check_types(scroll: Scroll, rank: int) -> None:

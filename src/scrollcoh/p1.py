@@ -11,6 +11,15 @@ keeps high powers cheap: Sym^k is the hook (k) and Wedge^k the hook
 (1, 1^(k-1)).  The tableau description is what the test suite enumerates
 against.
 
+A distribution is Kronecker-packed into one integer: (low, w, packed) holds
+the count of degree low + i in bytes [i*w, (i+1)*w) of packed, that is, its
+generating polynomial evaluated at 2^(8w).  Shifting a distribution by a
+degree is then a bit shift, adding two is one addition and convolving two is
+one multiplication, all at C speed.  The width w comes in closed form from
+the hook's total hook_rank(n, m, p), which bounds every count it can hold.
+The packed integer spans the degree range, (m + p) times the spread of the
+letters, so its size grows with that spread as well as with the counts.
+
 Every bundle is normalised in one C-level pass (int conversion and sort),
 twists and duals map a C callable over the degrees, and h^0, h^1 are read by
 bisecting the sorted degrees at the sign boundary and summing one side.
@@ -19,7 +28,7 @@ bisecting the sorted degrees at the sign boundary and summing one side.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 from math import comb
@@ -27,17 +36,12 @@ from operator import neg
 
 from ._value import value
 
-# A degree distribution: sorted ((degree, multiplicity), ...).
-_Dist = tuple[tuple[int, int], ...]
+# A degree distribution, Kronecker-packed: (low, w, packed), where the count
+# of degree low + i sits in bytes [i*w, (i+1)*w) of the integer packed.
+_Dist = tuple[int, int, int]
 
-_EMPTY: _Dist = ()
-_UNIT: _Dist = ((0, 1),)
-
-
-def _add_scaled(acc: dict[int, int], dist: dict[int, int], d: int, scale: int = 1) -> None:
-    # acc += scale * (dist shifted by d)
-    for deg, mult in dist.items():
-        acc[deg + d] = acc.get(deg + d, 0) + scale * mult
+_EMPTY: _Dist = (0, 1, 0)
+_UNIT: _Dist = (0, 1, 1)
 
 
 @lru_cache(maxsize=None)
@@ -47,19 +51,29 @@ def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
     # column letters among the letters passed so far.  A corner d takes its p
     # column letters strictly after d and its m - 1 row letters from d on, so
     # it is read after the row update admits d and before the column update does.
-    if p >= len(degs):
+    # Each distribution is packed over the degrees above its lowest possible
+    # one (k, j or m + p times the least letter), so shifting by a letter is a
+    # shift by its excess over the least letter, and the corner is one product.
+    n = len(degs)
+    if p >= n:
         return _EMPTY
-    rows = [{0: 1}] + [{} for _ in range(m - 1)]
-    cols = [{0: 1}] + [{} for _ in range(p)]
-    out: dict[int, int] = {}
+    lo = min(degs)
+    # A packed distribution is its polynomial evaluated at x = 2^(8w), so the
+    # shifts, sums and corner products are exact whatever the counts on the
+    # way.  Only the output is read back slot by slot, which needs each of its
+    # counts below 2^(8w); none exceeds the total, hook_rank(n, m, p).
+    w = (_hook_count(n, m, p).bit_length() + 7) // 8
+    rows = [1] + [0] * (m - 1)
+    cols = [1] + [0] * p
+    out = 0
     for d in reversed(degs):
+        shift = (d - lo) * 8 * w
         for k in range(1, m):
-            _add_scaled(rows[k], rows[k - 1], d)
-        for deg, mult in cols[p].items():
-            _add_scaled(out, rows[m - 1], d + deg, mult)
+            rows[k] += rows[k - 1] << shift
+        out += cols[p] * rows[m - 1] << shift
         for j in range(p, 0, -1):
-            _add_scaled(cols[j], cols[j - 1], d)
-    return tuple(sorted(out.items()))
+            cols[j] += cols[j - 1] << shift
+    return (m + p) * lo, w, out
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +92,20 @@ def _elementary_sums(degs: tuple[int, ...], k: int) -> _Dist:
     return _UNIT if k == 0 else _hook_sums(degs, 1, k - 1)
 
 
+def _pairs(dist: _Dist) -> Iterator[tuple[int, int]]:
+    """(degree, count) for every nonzero count of a distribution, ascending."""
+    low, w, packed = dist
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    for i in range(0, len(raw), w):
+        count = int.from_bytes(raw[i:i + w], "little")
+        if count:
+            yield low + i // w, count
+
+
 def _expand(dist: _Dist) -> tuple[int, ...]:
     out: list[int] = []
-    for deg, mult in dist:
-        out.extend([deg] * mult)
+    for deg, count in _pairs(dist):
+        out.extend([deg] * count)
     return tuple(out)
 
 
@@ -161,11 +185,7 @@ class SplitBundle:
         return SplitBundle(map(b.__add__, self.degrees))
 
     def tensor(self, other: SplitBundle) -> SplitBundle:
-        acc: dict[int, int] = {}
-        right = Counter(other.degrees)
-        for deg, mult in Counter(self.degrees).items():
-            _add_scaled(acc, right, deg, mult)
-        return SplitBundle(_expand(tuple(sorted(acc.items()))))
+        return SplitBundle([a + b for a in self.degrees for b in other.degrees])
 
     def __add__(self, other: SplitBundle) -> SplitBundle:
         """Direct sum."""
@@ -177,4 +197,9 @@ def hook_rank(letters: int, m: int, p: int) -> int:
     given size, independent of any degree data."""
     if m <= 0 or p < 0:
         raise ValueError("invalid hook shape")
+    return _hook_count(letters, m, p)
+
+
+def _hook_count(letters: int, m: int, p: int) -> int:
+    # hook_rank without the shape check, for the convolution's slot width
     return comb(letters + m - 1, m + p) * comb(m + p - 1, p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .p1 import SplitBundle, hook_rank
+from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
 from .sheaves import Atom, FormalSheaf, line_atom
 from .tables import CohomTable, solve_quotient, solve_sub
@@ -110,9 +110,8 @@ def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf
         return []
     terms: list[FormalSheaf] = []
     for k in range(n + 1, p, -1):
-        wedge = scroll.bundle.wedge(k)
-        atoms = tuple((line_atom(DivClass(div.h - k, div.f + w)), 1)
-                      for w in wedge.degrees)
+        atoms = tuple((line_atom(DivClass(div.h - k, div.f + w)), count)
+                      for w, count in _pairs(_elementary_sums(scroll.degrees, k)))
         terms.append(FormalSheaf(atoms))
     return terms
 

@@ -1,8 +1,11 @@
-"""Shared test helpers: scroll enumeration and direct enumeration oracles.
+"""Shared test helpers: scroll enumeration, direct enumeration oracles and
+the dict-based hook convolution.
 
 The oracles deliberately avoid the library's convolution shortcuts: multisets
 and tableaux are enumerated cell by cell so the fast paths have something
-independent to agree with.
+independent to agree with.  Where counts grow too large to enumerate, the
+dict-based hook convolution, which keeps every count as its own int, checks
+the packed one.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -50,6 +53,31 @@ def brute_hook_degrees(degs, m, p):
         for row in combinations_with_replacement(range(corner, len(degs)), m - 1):
             out.append(sum(degs[t] for t in col) + sum(degs[r] for r in row))
     return tuple(sorted(out))
+
+
+def dict_hook_sums(degs, m, p):
+    """(degree, count) pairs of the hook (m, 1^p), ascending, by the
+    convolution over dicts that the packed one replaced: the same pass over
+    the letters from the last down, with rows[k] and cols[j] kept as
+    {degree: count} and the corner added term by term."""
+
+    def add_scaled(acc, dist, d, scale=1):
+        for deg, mult in dist.items():
+            acc[deg + d] = acc.get(deg + d, 0) + scale * mult
+
+    if p >= len(degs):
+        return ()
+    rows = [{0: 1}] + [{} for _ in range(m - 1)]
+    cols = [{0: 1}] + [{} for _ in range(p)]
+    out = {}
+    for d in reversed(degs):
+        for k in range(1, m):
+            add_scaled(rows[k], rows[k - 1], d)
+        for deg, mult in cols[p].items():
+            add_scaled(out, rows[m - 1], d + deg, mult)
+        for j in range(p, 0, -1):
+            add_scaled(cols[j], cols[j - 1], d)
+    return tuple(sorted(out.items()))
 
 
 def _h0(degrees):

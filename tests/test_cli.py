@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from scrollcoh import Scroll
-from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_SUMMANDS, MAX_TWISTS,
-                           MAX_TYPES, _check_hook, _check_scroll, main)
+from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_SLOTS, MAX_SUMMANDS,
+                           MAX_TWISTS, MAX_TYPES, _check_hook, _check_scroll, main)
 
 
 def run(capsys, *argv):
@@ -483,3 +483,29 @@ def test_hook_limits_at_their_edges():
     with pytest.raises(ValueError, match="MAX_CELLS"):
         _check_hook(20, 1, 20)
     assert 2 ** 20 - 1 <= MAX_CELLS < 2 ** 21 - 1
+
+
+# The packed convolution spans (m + r) * spread + 1 degrees per distribution,
+# spread being the largest minus the least splitting degree, so a wide scroll
+# is refused from its spread even where its hooks have few cells.
+@pytest.mark.parametrize("argv", [
+    ["line-coh", "--scroll", "1,3000000", "--div", "2H"],
+    ["omega-coh", "--scroll", "1,2,3000000", "--p", "1", "--div=-3H"],
+    ["blocks", "--scroll", "1,3000000"],
+    ["classify", "--scroll", "1,3000000", "--type", "1,1"],
+    ["verify", "--suite", "duality", "--scroll", "1,3000000"],
+])
+def test_wide_scrolls_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and f"above the limit MAX_SLOTS = {MAX_SLOTS}" in err
+
+
+def test_slot_limit_at_its_edge(capsys):
+    # (2) on two letters holds 4 * (2 * spread + 1) slots
+    _check_hook(1, 2, 0, spread=1_249_999)
+    with pytest.raises(ValueError, match="MAX_SLOTS"):
+        _check_hook(1, 2, 0, spread=1_250_000)
+    # Sym^2 of O(1) + O(100001) has the degrees 2, 100002 and 200002
+    h = run_json(capsys, "line-coh", "--scroll", "1,100001", "--div", "2H")["result"]["h"]
+    assert h == [3 + 100003 + 200003, 0, 0]

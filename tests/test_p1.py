@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 
-from conftest import brute_hook_degrees, brute_sym_degrees, brute_wedge_degrees
+from conftest import (brute_hook_degrees, brute_sym_degrees, brute_wedge_degrees,
+                      dict_hook_sums)
 from scrollcoh import SplitBundle, hook_rank
+from scrollcoh.p1 import _hook_sums, _pairs
 
 
 def test_cohomology_of_single_summands():
@@ -152,3 +154,37 @@ def test_canonical_sorted_storage():
     assert SplitBundle((2, 1)).degrees == (1, 2)
     assert SplitBundle([3, -1, 3]).degrees == (-1, 3, 3)
     assert SplitBundle((2, 1)) == SplitBundle((1, 2))
+
+
+# Packed distributions at the byte boundaries of their counts.  A count of
+# 255 or 65535 fills its slot; 256 or 65536 needs one more byte per slot.
+# Each case sets the slot width through the hook's total, and the lowest
+# degree is negative.
+@pytest.mark.parametrize("degs,m,p", [
+    ((-1,) * 255, 1, 0),             # one count of 255, one byte
+    ((-1,) * 256, 1, 0),             # one count of 256, two bytes
+    ((-1,) * 255 + (3,), 1, 0),      # a full 255 beside a 1, two bytes
+    ((-1,) * 65535, 1, 0),           # 65535 in two bytes
+    ((-1,) * 65535 + (2,), 1, 0),    # a full 65535 beside a 1, three bytes
+    ((-2, 5), 254, 0),               # Sym^254: 255 summands, one byte
+    ((-2, 5), 255, 0),               # Sym^255: 256 summands, two bytes
+    ((-3,) * 10 + (0,) * 8, 2, 1),   # counts up to 800 in two-byte slots
+    ((-1,) * 6 + (1,) * 6, 1, 11),   # one summand, after column counts of 400
+    ((-1,) * 24 + (0,) * 24, 30, 0),   # a count above 2^64
+    ((-2,) * 18 + (1,) * 18, 22, 4),   # a count above 2^64, with a column
+])
+def test_packed_counts_at_byte_boundaries(degs, m, p):
+    assert tuple(_pairs(_hook_sums(degs, m, p))) == dict_hook_sums(degs, m, p)
+
+
+@pytest.mark.parametrize("letters,m,p", [
+    (255, 1, 0), (256, 1, 0), (65535, 1, 0), (65536, 1, 0),
+    (2, 254, 0), (2, 255, 0), (2, 65534, 0), (2, 65535, 0),
+    (40, 30, 0), (36, 24, 4), (24, 30, 6),
+])
+def test_packed_counts_on_equal_degrees(letters, m, p):
+    # all tableaux have degree (m + p) * d, so one slot holds hook_rank of them
+    rank = hook_rank(letters, m, p)
+    assert rank in (255, 256, 65535, 65536) or rank > 2 ** 64
+    for d in (-7, 0, 3):
+        assert list(_pairs(_hook_sums((d,) * letters, m, p))) == [((m + p) * d, rank)]

@@ -1,5 +1,6 @@
 """The package namespace: lazy exports, what each import path loads, the
-layers a tracer finds after the CLI import, and first use from threads.
+layers a tracer finds after the CLI import, the caches the benchmark clears,
+and first use from threads.
 
 Every check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -121,6 +122,24 @@ print(json.dumps([missing, tracer.calls["relative"]]))
     missing, relative_calls = fresh(code)
     assert missing == []
     assert relative_calls >= 1
+
+
+def test_benchmark_caches_are_functools_caches():
+    # perfbench/worker.py clears these before every timed pass and reports
+    # their counters; a cache renamed or dropped would break only that run
+    code = f"""
+import functools, json, sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import run, worker
+bad = [name for name, fn in worker.CACHES.items()
+       if not (isinstance(fn, functools._lru_cache_wrapper)
+               and callable(getattr(fn, "cache_info", None))
+               and callable(getattr(fn, "cache_clear", None)))]
+print(json.dumps([bad, sorted(worker.CACHES), sorted(run.CACHES)]))
+"""
+    bad, names, reported = fresh(code)
+    assert bad == []
+    assert names == reported
 
 
 CONCURRENT = """

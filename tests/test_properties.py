@@ -1,18 +1,19 @@
 """Property tests beyond the fixed sweeps: the hook convolution against
-tableaux enumerated one by one, Serre duality of the pushforward engine on
-generated scrolls, the Bott dimensions on projective space, chase intervals
-around the exact values, the classification round trip, the arithmetic
-of dimension tables, and the split-bundle constructor, cohomology, twist and
-dual against their per-summand formulas."""
+tableaux enumerated one by one and against the dict-based convolution, Serre
+duality of the pushforward engine on generated scrolls, the Bott dimensions
+on projective space, chase intervals around the exact values, the
+classification round trip, the arithmetic of dimension tables, and the
+split-bundle constructor, cohomology, twist and dual against their
+per-summand formulas."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_hook_degrees, brute_sym_degrees
+from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
 from scrollcoh import (CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
                        classify, koszul_resolution, omega_cohomology,
                        pn_omega_cohomology, type_sheaf)
-from scrollcoh.p1 import _expand, _hook_sums
+from scrollcoh.p1 import _expand, _hook_sums, _pairs
 
 # n <= 4 and splitting degrees <= 4
 scrolls = st.lists(st.integers(1, 4), min_size=2, max_size=5).map(Scroll)
@@ -82,6 +83,14 @@ def test_split_bundle_matches_per_summand_formulas(x, b):
 def test_hook_sums_count_tableaux(degs, m, data):
     p = data.draw(st.integers(0, len(degs)))
     assert _expand(_hook_sums(degs, m, p)) == brute_hook_degrees(degs, m, p)
+
+
+# letters in any order, spread wide, so the packed slots sit far apart
+@given(st.lists(st.integers(-300, 300), min_size=1, max_size=7).map(tuple),
+       st.integers(1, 12), st.data())
+def test_packed_hook_sums_match_the_dict_convolution(degs, m, data):
+    p = data.draw(st.integers(0, len(degs)))
+    assert tuple(_pairs(_hook_sums(degs, m, p))) == dict_hook_sums(degs, m, p)
 
 
 @given(degree_lists.filter(lambda d: len(d) >= 2), st.integers(1, 5), st.data())
