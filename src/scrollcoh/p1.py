@@ -18,7 +18,8 @@ degree is then a bit shift, adding two is one addition and convolving two is
 one multiplication, all at C speed.  The width w comes in closed form from
 the hook's total hook_rank(n, m, p), which bounds every count it can hold.
 The packed integer spans the degree range, (m + p) times the spread of the
-letters, so its size grows with that spread as well as with the counts.
+letters, so its size grows with that spread as well as with the counts;
+MAX_SLOTS caps it, and a wider convolution raises ValueError before it runs.
 
 Every bundle is normalised in one C-level pass (int conversion and sort),
 twists and duals map a C callable over the degrees, and h^0, h^1 are read by
@@ -43,6 +44,14 @@ _Dist = tuple[int, int, int]
 _EMPTY: _Dist = (0, 1, 0)
 _UNIT: _Dist = (0, 1, 1)
 
+MAX_SLOTS = 10_000_000
+
+
+def _slots(m: int, p: int, spread: int) -> int:
+    # the hook (m, 1^p) packs m + p + 2 distributions (its rows, its columns
+    # and the output), each over at most (m + p) * spread + 1 degrees
+    return (m + p + 2) * ((m + p) * spread + 1)
+
 
 @lru_cache(maxsize=None)
 def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
@@ -58,6 +67,10 @@ def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
     if p >= n:
         return _EMPTY
     lo = min(degs)
+    slots = _slots(m, p, max(degs) - lo)
+    if slots > MAX_SLOTS:
+        raise ValueError(f"the packed convolution size is {slots}, "
+                         f"above the limit MAX_SLOTS = {MAX_SLOTS}")
     # A packed distribution is its polynomial evaluated at x = 2^(8w), so the
     # shifts, sums and corner products are exact whatever the counts on the
     # way.  Only the output is read back slot by slot, which needs each of its

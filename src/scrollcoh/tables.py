@@ -108,6 +108,21 @@ def _tightened(bounds: list[list[int]], chi: int) -> tuple[Bound, ...]:
     return tuple((lo, hi) for lo, hi in bounds)
 
 
+def _solve(total: CohomTable, known: CohomTable, step: int) -> CohomTable:
+    # The unknown end of 0 -> A -> B -> C -> 0 from B and the known end: each
+    # of its dimensions is the image from B plus what the connecting map takes
+    # into degree i + step of the known end (A for step 1, C for step -1).
+    length = max(len(total), len(known))
+    chi = total.chi - known.chi
+    bounds = []
+    for i in range(length):
+        j = i + step
+        lo = max(0, total.lo(i) - known.hi(i)) + max(0, known.lo(j) - total.hi(j))
+        hi = total.hi(i) + known.hi(j)
+        bounds.append([lo, hi])
+    return CohomTable(_tightened(bounds, chi), chi)
+
+
 def solve_quotient(sub: CohomTable, total: CohomTable) -> CohomTable:
     """Bounds for C in a short exact sequence 0 -> A -> B -> C -> 0.
 
@@ -116,26 +131,12 @@ def solve_quotient(sub: CohomTable, total: CohomTable) -> CohomTable:
     exact sequence alone, so the bounds hold for arbitrary connecting maps
     and collapse to exact values whenever one-sided vanishing forces it.
     """
-    length = max(len(sub), len(total))
-    chi = total.chi - sub.chi
-    bounds = []
-    for i in range(length):
-        lo = max(0, total.lo(i) - sub.hi(i)) + max(0, sub.lo(i + 1) - total.hi(i + 1))
-        hi = total.hi(i) + sub.hi(i + 1)
-        bounds.append([lo, hi])
-    return CohomTable(_tightened(bounds, chi), chi)
+    return _solve(total, sub, 1)
 
 
 def solve_sub(total: CohomTable, quotient: CohomTable) -> CohomTable:
     """Bounds for A in 0 -> A -> B -> C -> 0 given B and C."""
-    length = max(len(total), len(quotient))
-    chi = total.chi - quotient.chi
-    bounds = []
-    for i in range(length):
-        lo = max(0, total.lo(i) - quotient.hi(i)) + max(0, quotient.lo(i - 1) - total.hi(i - 1))
-        hi = total.hi(i) + quotient.hi(i - 1)
-        bounds.append([lo, hi])
-    return CohomTable(_tightened(bounds, chi), chi)
+    return _solve(total, quotient, -1)
 
 
 def intersect(a: CohomTable, b: CohomTable) -> CohomTable:

@@ -1,6 +1,7 @@
 """Split bundle calculus checked against direct enumeration."""
 
 import random
+import time
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -8,8 +9,8 @@ import pytest
 
 from conftest import (brute_hook_degrees, brute_sym_degrees, brute_wedge_degrees,
                       dict_hook_sums)
-from scrollcoh import SplitBundle, hook_rank
-from scrollcoh.p1 import _hook_sums, _pairs
+from scrollcoh import H, Scroll, SplitBundle, hook_rank
+from scrollcoh.p1 import MAX_SLOTS, _hook_sums, _pairs
 
 
 def test_cohomology_of_single_summands():
@@ -188,3 +189,24 @@ def test_packed_counts_on_equal_degrees(letters, m, p):
     assert rank in (255, 256, 65535, 65536) or rank > 2 ** 64
     for d in (-7, 0, 3):
         assert list(_pairs(_hook_sums((d,) * letters, m, p))) == [((m + p) * d, rank)]
+
+
+# The packed integer spans (m + p) times the spread of the letters, so a wide
+# spread is refused before anything is allocated, by the library as by the CLI.
+@pytest.mark.parametrize("call", [
+    lambda: Scroll((1, 10 ** 7)).line_cohomology(2 * H),
+    lambda: SplitBundle((0, 10 ** 7)).sym(3),
+], ids=["line_cohomology", "sym"])
+def test_wide_spreads_are_refused_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"above the limit MAX_SLOTS = {MAX_SLOTS}"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_slot_limit_at_its_edge():
+    # Sym^2 on two letters holds 4 * (2 * spread + 1) slots, the CLI's count
+    low, w, packed = _hook_sums((0, 1_249_999), 2, 0)
+    assert (low, w) == (0, 1) and packed.bit_length() == 8 * 2 * 1_249_999 + 1
+    with pytest.raises(ValueError, match="MAX_SLOTS"):
+        _hook_sums((0, 1_250_000), 2, 0)

@@ -20,6 +20,7 @@ from scrollcoh import (Atom, BeilinsonTable, CohomTable, Collection,
                        Scroll, SplitBundle, TypeInfo, UlrichVerdict,
                        beilinson_table, is_ulrich, type_info, type_sheaf,
                        verify_duality, veronese_table)
+from scrollcoh._value import value
 from scrollcoh.beilinson import build_collections
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -131,6 +132,63 @@ def test_never_equal_to_another_class_with_the_same_fields(x):
     by_keyword = type(x)(**dict(zip(_fields(type(x)), fields)))
     assert x == type(x)(*fields) == by_keyword
     assert hash(x) == hash(by_keyword)
+
+
+# -- the constructor against a twin with the same defaults ---------------------
+
+def _defaults_twin(cls):
+    fields = [(n, object, dataclasses.field(default=cls.__dict__[n]))
+              if n in cls.__dict__ else n for n in _fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+def _bad_calls(obj):
+    """(what, args, kwargs) for calls that a dataclass constructor refuses,
+    with the fields of ``obj`` as the values, so that only binding can fail."""
+    cls = type(obj)
+    every = {n: getattr(obj, n) for n in _fields(cls)}
+    first = next(iter(every.values()))
+    yield "too many positional arguments", (*every.values(), first), {}
+    yield "an unknown keyword", (), {**every, "unknown": first}
+    yield "a field given twice", (first,), every
+    for name in every:
+        if name not in cls.__dict__:
+            yield f"no {name}", (), {n: v for n, v in every.items() if n != name}
+
+
+_CONSTRUCTED = tuple(_TWINS) + (FormalSheaf, CollectionMember, Collection)
+
+
+@pytest.mark.parametrize("obj", [v for v in _public_values() if type(v) in _CONSTRUCTED],
+                         ids=lambda v: type(v).__name__)
+def test_constructor_raises_type_error_where_a_dataclass_does(obj):
+    cls = type(obj)
+    twin_cls = _defaults_twin(cls)
+    for what, args, kwargs in _bad_calls(obj):
+        with pytest.raises(TypeError):
+            twin_cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+            pytest.fail(f"{cls.__name__} accepted {what}")
+
+
+def test_defaults_fill_the_fields_left_out():
+    atom = Atom(0, DivClass(1, 0))
+    for cls, args in [(DivClass, ()), (SplitBundle, ()), (FormalSheaf, ()),
+                      (CohomTable, (((0, 0),),)), (CollectionMember, (atom,))]:
+        obj = cls(*args)
+        assert repr(obj) == repr(_defaults_twin(cls)(*args))
+        assert obj == cls(*(getattr(obj, n) for n in _fields(cls)))
+    assert DivClass(f=0) == DivClass() and CollectionMember(shift=0, atom=atom) == CollectionMember(atom)
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    # the constructor's signature is compiled as written, as a def's would be
+    with pytest.raises(SyntaxError):
+        @value
+        class Misordered:
+            a: int = 0
+            b: int
 
 
 def test_cli_import_does_not_load_dataclasses():
