@@ -95,8 +95,7 @@ def duality_report(scroll: Scroll, e_collection: Collection,
     for i, em in enumerate(e_collection):
         row = []
         for j, fm in enumerate(f_collection):
-            table = ext_line_vs_atom(scroll, em.atom, em.shift, fm.atom)
-            ext = tuple(table.h(k) for k in range(len(table)))
+            ext = ext_line_vs_atom(scroll, em.atom, em.shift, fm.atom).values()
             row.append(ext)
             for k, d in enumerate(ext):
                 if d != (1 if i == j == k else 0):

@@ -21,7 +21,7 @@ The packed integer spans the degree range, (m + p) times the spread of the
 letters, so its size grows with that spread as well as with the counts;
 MAX_SLOTS caps it, and a wider convolution raises ValueError before it runs.
 
-Every bundle is normalised in one C-level pass (int conversion and sort),
+Every bundle is normalised in one C-level pass (an integer check and sort),
 twists and duals map a C callable over the degrees, and h^0, h^1 are read by
 bisecting the sorted degrees at the sign boundary and summing one side.
 """
@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 from math import comb
-from operator import neg
+from operator import index, neg
 
 from ._value import value
 
@@ -75,7 +75,7 @@ def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
     # shifts, sums and corner products are exact whatever the counts on the
     # way.  Only the output is read back slot by slot, which needs each of its
     # counts below 2^(8w); none exceeds the total, hook_rank(n, m, p).
-    w = (_hook_count(n, m, p).bit_length() + 7) // 8
+    w = (hook_rank(n, m, p).bit_length() + 7) // 8
     rows = [1] + [0] * (m - 1)
     cols = [1] + [0] * p
     out = 0
@@ -129,7 +129,7 @@ class SplitBundle:
     degrees: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(sorted(map(int, self.degrees))))
+        object.__setattr__(self, "degrees", tuple(sorted(map(index, self.degrees))))
 
     @property
     def rank(self) -> int:
@@ -210,9 +210,4 @@ def hook_rank(letters: int, m: int, p: int) -> int:
     given size, independent of any degree data."""
     if m <= 0 or p < 0:
         raise ValueError("invalid hook shape")
-    return _hook_count(letters, m, p)
-
-
-def _hook_count(letters: int, m: int, p: int) -> int:
-    # hook_rank without the shape check, for the convolution's slot width
     return comb(letters + m - 1, m + p) * comb(m + p - 1, p)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
 from .sheaves import Atom, FormalSheaf, line_atom
-from .tables import CohomTable, solve_quotient, solve_sub
+from .tables import CohomTable, _solve
 
 
 def _bott(n: int, p: int, a: int) -> tuple[int, int, int] | None:
@@ -82,10 +82,11 @@ def sheaf_cohomology(scroll: Scroll, sheaf: FormalSheaf) -> CohomTable:
     """Cohomology of a genuine (nonnegative) atom sum; exact and additive."""
     if not sheaf.is_effective:
         raise ValueError("cohomology needs nonnegative multiplicities")
-    table = CohomTable.zero(scroll.n + 2)
+    vals = [0] * (scroll.n + 2)
     for atom, mult in sheaf.terms:
-        table = table + atom_cohomology(scroll, atom).scaled(mult)
-    return table
+        for i, v in enumerate(atom_cohomology(scroll, atom).values()):
+            vals[i] += mult * v
+    return CohomTable.exact(vals)
 
 
 def sheaf_chi(scroll: Scroll, sheaf: FormalSheaf) -> int:
@@ -126,20 +127,15 @@ def chase_bounds(scroll: Scroll, terms, solve: str = "cokernel") -> CohomTable:
     coresolution).  Entries the long-exact-sequence chase cannot pin down
     stay intervals; chi is always exact.
     """
-    tables = [sheaf_cohomology(scroll, t) for t in terms]
-    if not tables:
-        return CohomTable.zero(scroll.n + 2)
-    if solve == "cokernel":
-        acc = tables[0]
-        for table in tables[1:]:
-            acc = solve_quotient(acc, table)
-        return acc
-    if solve == "kernel":
-        acc = tables[-1]
-        for table in reversed(tables[:-1]):
-            acc = solve_sub(table, acc)
-        return acc
-    raise ValueError("solve must be 'cokernel' or 'kernel'")
+    if solve not in ("cokernel", "kernel"):
+        raise ValueError("solve must be 'cokernel' or 'kernel'")
+    # One fold over short exact sequences, from the left for a cokernel and
+    # from the right for a kernel; from zero the first step is exact.
+    step = 1 if solve == "cokernel" else -1
+    acc = CohomTable.zero(scroll.n + 2)
+    for term in terms[::step]:
+        acc = _solve(sheaf_cohomology(scroll, term), acc, step)
+    return acc
 
 
 def pn_omega_cohomology(n: int, p: int, k: int) -> CohomTable:

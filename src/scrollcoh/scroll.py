@@ -8,6 +8,7 @@ pushforward engine in ``scrollcoh.relative``; ``line_cohomology`` and the
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from ._value import value
 from .p1 import SplitBundle
@@ -74,7 +75,7 @@ class Scroll:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degs = tuple(sorted(int(a) for a in self.degrees))
+        degs = tuple(sorted(map(index, self.degrees)))
         if len(degs) < 2:
             raise ValueError("a scroll needs at least two splitting degrees")
         if degs[0] <= 0:

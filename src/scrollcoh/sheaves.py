@@ -11,6 +11,7 @@ the additive invariants rank, first Chern class and Euler characteristic.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 from ._value import value
 from .scroll import DivClass, Scroll
@@ -71,9 +72,9 @@ class FormalSheaf:
     def __post_init__(self) -> None:
         acc: dict[Atom, int] = {}
         for atom, mult in self.terms:
-            if atom is None or not mult:
-                continue
-            acc[atom] = acc.get(atom, 0) + int(mult)
+            mult = index(mult)
+            if atom is not None and mult:
+                acc[atom] = acc.get(atom, 0) + mult
         object.__setattr__(
             self, "terms", tuple(sorted((a, m) for a, m in acc.items() if m)))
 

@@ -3,6 +3,9 @@ Markdown and one LaTeX renderer every printed table goes through."""
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from operator import index
+
 from ._value import value
 
 
@@ -36,9 +39,8 @@ class CohomTable:
 
     @classmethod
     def exact(cls, values) -> "CohomTable":
-        vals = tuple(int(v) for v in values)
-        chi = sum((-1) ** i * v for i, v in enumerate(vals))
-        return cls(tuple((v, v) for v in vals), chi)
+        vals = tuple(map(index, values))
+        return cls(tuple((v, v) for v in vals), sum(vals[::2]) - sum(vals[1::2]))
 
     @classmethod
     def zero(cls, length: int) -> "CohomTable":
@@ -79,32 +81,32 @@ class CohomTable:
         return CohomTable(tuple((k * lo, k * hi) for lo, hi in self.bounds), k * self.chi)
 
     def __add__(self, other: "CohomTable") -> "CohomTable":
-        length = max(len(self), len(other))
-        bounds = tuple((self.lo(i) + other.lo(i), self.hi(i) + other.hi(i))
-                       for i in range(length))
+        bounds = tuple((alo + blo, ahi + bhi) for (alo, ahi), (blo, bhi)
+                       in zip_longest(self.bounds, other.bounds, fillvalue=(0, 0)))
         return CohomTable(bounds, self.chi + other.chi)
 
 
 def _tightened(bounds: list[list[int]], chi: int) -> tuple[Bound, ...]:
-    # Shrink interval entries using exactness of the Euler characteristic.
-    for _ in range(2):
-        for i in range(len(bounds)):
-            rest_lo = rest_hi = 0
-            for j, (lo, hi) in enumerate(bounds):
-                if j == i:
-                    continue
-                if (j - i) % 2 == 0:
-                    rest_lo += lo
-                    rest_hi += hi
-                else:
-                    rest_lo -= hi
-                    rest_hi -= lo
-            target = chi if i % 2 == 0 else -chi
-            lo_i = max(bounds[i][0], target - rest_hi, 0)
-            hi_i = min(bounds[i][1], target - rest_lo)
-            if lo_i > hi_i:
-                raise ValueError("inconsistent interval table")
-            bounds[i] = [lo_i, hi_i]
+    # Shrink each entry to its projection of the box's integer points on
+    # sum (-1)^i h^i = chi: the rest of the sum takes every integer between
+    # its extremes, so narrowing removes no point and one pass is final.
+    for i in range(len(bounds)):
+        rest_lo = rest_hi = 0
+        for j, (lo, hi) in enumerate(bounds):
+            if j == i:
+                continue
+            if (j - i) % 2 == 0:
+                rest_lo += lo
+                rest_hi += hi
+            else:
+                rest_lo -= hi
+                rest_hi -= lo
+        target = chi if i % 2 == 0 else -chi
+        lo_i = max(bounds[i][0], target - rest_hi, 0)
+        hi_i = min(bounds[i][1], target - rest_lo)
+        if lo_i > hi_i:
+            raise ValueError("inconsistent interval table")
+        bounds[i] = [lo_i, hi_i]
     return tuple((lo, hi) for lo, hi in bounds)
 
 
@@ -143,11 +145,9 @@ def intersect(a: CohomTable, b: CohomTable) -> CohomTable:
     """Entrywise intersection of two sound bounds for the same object."""
     if a.chi != b.chi:
         raise ValueError("cannot intersect tables with different chi")
-    length = max(len(a), len(b))
     bounds = []
-    for i in range(length):
-        lo = max(a.lo(i), b.lo(i))
-        hi = min(a.hi(i), b.hi(i))
+    for (alo, ahi), (blo, bhi) in zip_longest(a.bounds, b.bounds, fillvalue=(0, 0)):
+        lo, hi = max(alo, blo), min(ahi, bhi)
         if lo > hi:
             raise ValueError("empty intersection: incompatible bounds")
         bounds.append([lo, hi])

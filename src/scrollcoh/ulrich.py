@@ -10,6 +10,7 @@ from numerics alone, only slopes and Hom/Ext bounds are reported.
 
 from __future__ import annotations
 
+from operator import index
 from types import MappingProxyType
 
 from ._value import value
@@ -122,7 +123,7 @@ class TypeInfo:
 
 def type_sheaf(scroll: Scroll, multiplicities) -> FormalSheaf:
     """The block sum with the given multiplicities."""
-    mults = tuple(int(a) for a in multiplicities)
+    mults = tuple(map(index, multiplicities))
     if len(mults) != scroll.n + 1:
         raise ValueError("a type needs n + 1 multiplicities")
     if any(a < 0 for a in mults):
@@ -132,7 +133,7 @@ def type_sheaf(scroll: Scroll, multiplicities) -> FormalSheaf:
 
 
 def type_info(scroll: Scroll, multiplicities) -> TypeInfo:
-    mults = tuple(int(a) for a in multiplicities)
+    mults = tuple(map(index, multiplicities))
     sheaf = type_sheaf(scroll, mults)
     rank, c1, _deg, slope = deg_slope(scroll, sheaf)
     lines = tuple(i for i, a in enumerate(mults)

@@ -2,17 +2,20 @@
 tableaux enumerated one by one and against the dict-based convolution, Serre
 duality of the pushforward engine on generated scrolls, the Bott dimensions
 on projective space, chase intervals around the exact values, the
-classification round trip, the arithmetic of dimension tables, and the
-split-bundle constructor, cohomology, twist and dual against their
-per-summand formulas."""
+classification round trip, the arithmetic of dimension tables, their
+tightening against the integer points it must keep, and the split-bundle
+constructor, cohomology, twist and dual against their per-summand formulas."""
 
+from itertools import product
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
 from scrollcoh import (CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
                        classify, koszul_resolution, omega_cohomology,
-                       pn_omega_cohomology, type_sheaf)
+                       intersect, pn_omega_cohomology, type_sheaf)
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 
 # n <= 4 and splitting degrees <= 4
@@ -142,3 +145,35 @@ def test_cohom_table_arithmetic(x, y, k):
     assert total.is_exact and total.chi == a.chi + b.chi
     assert all(total.h(i) == a.lo(i) + b.lo(i) for i in range(max(len(x), len(y))))
     assert a.scaled(k) == CohomTable.exact([k * v for v in x])
+
+
+def _projection(bounds, chi):
+    # per entry, the least and greatest value over the integer points of the
+    # box on sum (-1)^i h^i = chi; None when there is no such point
+    points = [h for h in product(*(range(lo, hi + 1) for lo, hi in bounds))
+              if sum(h[::2]) - sum(h[1::2]) == chi]
+    if not points:
+        return None
+    return tuple((min(col), max(col)) for col in zip(*points))
+
+
+boxes = (st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted).map(tuple),
+                  min_size=1, max_size=5)
+         .filter(lambda b: any(lo < hi for lo, hi in b)))
+
+
+@settings(deadline=None)
+@given(boxes, st.data())
+def test_tightening_is_the_projection_on_the_chi_hyperplane(bounds, data):
+    # chi drawn around the box's range of alternating sums, so that both
+    # consistent and inconsistent tables occur
+    least = sum(lo for lo, _ in bounds[::2]) - sum(hi for _, hi in bounds[1::2])
+    most = sum(hi for _, hi in bounds[::2]) - sum(lo for lo, _ in bounds[1::2])
+    chi = data.draw(st.integers(least - 2, most + 2))
+    table = CohomTable(tuple(bounds), chi)
+    want = _projection(bounds, chi)
+    if want is None:
+        with pytest.raises(ValueError):
+            intersect(table, table)
+    else:
+        assert intersect(table, table).bounds == want

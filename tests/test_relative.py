@@ -189,6 +189,8 @@ def test_chase_kernel_mode_recovers_line_bundle():
         assert lo <= exact.h(i) <= hi
     with pytest.raises(ValueError):
         chase_bounds(S, [a], solve="sideways")
+    with pytest.raises(ValueError):
+        chase_bounds(S, [], solve="sideways")
 
 
 def test_sheaf_cohomology_additive_and_signed_rejected():

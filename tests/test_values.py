@@ -182,6 +182,21 @@ def test_defaults_fill_the_fields_left_out():
     assert DivClass(f=0) == DivClass() and CollectionMember(shift=0, atom=atom) == CollectionMember(atom)
 
 
+@pytest.mark.parametrize("make, args", [
+    (SplitBundle, ((1.5,),)),
+    (SplitBundle, (("2",),)),
+    (Scroll, ((1.5, 2),)),
+    (FormalSheaf, (((Atom(0, DivClass(1, 0)), 0.5),),)),
+    (CohomTable.exact, ((1, 0.0),)),
+    (type_sheaf, (Scroll((1, 2)), (1.5, 0))),
+    (type_info, (Scroll((1, 2)), (1, "1"))),
+], ids=["bundle-float", "bundle-str", "scroll", "sheaf", "table", "type_sheaf", "type_info"])
+def test_integer_inputs_are_checked_not_truncated(make, args):
+    # int() would read 1.5 as 1 and "2" as 2, a silent wrong answer
+    with pytest.raises(TypeError):
+        make(*args)
+
+
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():
     # the constructor's signature is compiled as written, as a def's would be
     with pytest.raises(SyntaxError):
