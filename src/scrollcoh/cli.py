@@ -184,7 +184,10 @@ def _divisor_from(args) -> DivClass:
 
 def _load_profile(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"profile {path} is nested too deeply to parse") from None
 
 
 def _frac(x) -> str:

@@ -27,8 +27,7 @@ def ext_line_vs_atom(scroll: Scroll, source: Atom, shift: int, target: Atom) -> 
     if not source.is_line:
         raise ValueError("source must be a (shifted) line bundle")
     coh = omega_cohomology(scroll, target.p, target.twist + source.twist)
-    top = scroll.n + 1 - shift
-    return CohomTable.exact(tuple(coh.h(k + shift) for k in range(top + 1)))
+    return CohomTable.exact((0,) * -shift + coh.values()[max(shift, 0):])
 
 
 def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
@@ -49,12 +48,10 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
         table = intersect(_chase_resolving_target(scroll, source, target),
                           _chase_coresolving_source(scroll, source, target))
     if source == target:
-        bounds = list(table.bounds)
-        lo, hi = bounds[0]
+        (lo, hi), *rest = table.bounds
         if hi < 1:
             raise ValueError("identity morphism outside the computed bounds")
-        bounds[0] = (max(lo, 1), hi)
-        table = CohomTable(tuple(bounds), table.chi)
+        table = CohomTable(((max(lo, 1), hi), *rest), table.chi)
     return table
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
 from .sheaves import Atom, FormalSheaf, line_atom
-from .tables import CohomTable, _solve
+from .tables import CohomTable, solve_quotient, solve_sub
 
 
 def _bott(n: int, p: int, a: int) -> tuple[int, int, int] | None:
@@ -131,10 +131,13 @@ def chase_bounds(scroll: Scroll, terms, solve: str = "cokernel") -> CohomTable:
         raise ValueError("solve must be 'cokernel' or 'kernel'")
     # One fold over short exact sequences, from the left for a cokernel and
     # from the right for a kernel; from zero the first step is exact.
-    step = 1 if solve == "cokernel" else -1
     acc = CohomTable.zero(scroll.n + 2)
-    for term in terms[::step]:
-        acc = _solve(sheaf_cohomology(scroll, term), acc, step)
+    if solve == "cokernel":
+        for term in terms:
+            acc = solve_quotient(acc, sheaf_cohomology(scroll, term))
+    else:
+        for term in reversed(terms):
+            acc = solve_sub(sheaf_cohomology(scroll, term), acc)
     return acc
 
 

@@ -32,10 +32,13 @@ class CohomTable:
         for lo, hi in self.bounds:
             if not 0 <= lo <= hi:
                 raise ValueError(f"invalid dimension bound [{lo}, {hi}]")
-        if all(lo == hi for lo, hi in self.bounds):
-            alt = sum((-1) ** i * lo for i, (lo, _) in enumerate(self.bounds))
-            if alt != self.chi:
-                raise ValueError("chi does not match the exact entries")
+        # the exact values, kept once; None while any entry is open
+        vals = tuple(lo for lo, hi in self.bounds if lo == hi)
+        if len(vals) < len(self.bounds):
+            vals = None
+        elif sum(vals[::2]) - sum(vals[1::2]) != self.chi:
+            raise ValueError("chi does not match the exact entries")
+        object.__setattr__(self, "_vals", vals)
 
     @classmethod
     def exact(cls, values) -> "CohomTable":
@@ -64,7 +67,7 @@ class CohomTable:
 
     @property
     def is_exact(self) -> bool:
-        return all(lo == hi for lo, hi in self.bounds)
+        return self._vals is not None
 
     def h(self, i: int) -> int:
         lo, hi = self.bound(i)
@@ -73,7 +76,9 @@ class CohomTable:
         return lo
 
     def values(self) -> tuple[int, ...]:
-        return tuple(self.h(i) for i in range(len(self.bounds)))
+        if self._vals is None:  # raised by h, naming the first open entry
+            self.h(next(i for i, (lo, hi) in enumerate(self.bounds) if lo < hi))
+        return self._vals
 
     def scaled(self, k: int) -> "CohomTable":
         if k < 0:
@@ -86,42 +91,36 @@ class CohomTable:
         return CohomTable(bounds, self.chi + other.chi)
 
 
-def _tightened(bounds: list[list[int]], chi: int) -> tuple[Bound, ...]:
+def _tightened(bounds: tuple[Bound, ...], chi: int) -> tuple[Bound, ...]:
     # Shrink each entry to its projection of the box's integer points on
-    # sum (-1)^i h^i = chi: the rest of the sum takes every integer between
-    # its extremes, so narrowing removes no point and one pass is final.
-    for i in range(len(bounds)):
-        rest_lo = rest_hi = 0
-        for j, (lo, hi) in enumerate(bounds):
-            if j == i:
-                continue
-            if (j - i) % 2 == 0:
-                rest_lo += lo
-                rest_hi += hi
-            else:
-                rest_lo -= hi
-                rest_hi -= lo
-        target = chi if i % 2 == 0 else -chi
-        lo_i = max(bounds[i][0], target - rest_hi, 0)
-        hi_i = min(bounds[i][1], target - rest_lo)
-        if lo_i > hi_i:
+    # sum (-1)^i h^i = chi.  The rest of the sum takes every integer between
+    # its extremes, so each projection follows from the box's least and
+    # greatest alternating sums, and narrowing removes no point: every entry
+    # is narrowed against the same box, in one pass.  An empty box, or one
+    # missing the hyperplane, leaves some entry with lo > hi.
+    least = sum(lo for lo, _ in bounds[::2]) - sum(hi for _, hi in bounds[1::2])
+    most = sum(hi for _, hi in bounds[::2]) - sum(lo for lo, _ in bounds[1::2])
+    out = []
+    for i, (lo, hi) in enumerate(bounds):
+        below, above = (chi - most, chi - least) if i % 2 == 0 else (least - chi, most - chi)
+        lo, hi = max(lo, hi + below), min(hi, lo + above)
+        if lo > hi:
             raise ValueError("inconsistent interval table")
-        bounds[i] = [lo_i, hi_i]
-    return tuple((lo, hi) for lo, hi in bounds)
+        out.append((lo, hi))
+    return tuple(out)
 
 
 def _solve(total: CohomTable, known: CohomTable, step: int) -> CohomTable:
     # The unknown end of 0 -> A -> B -> C -> 0 from B and the known end: each
     # of its dimensions is the image from B plus what the connecting map takes
     # into degree i + step of the known end (A for step 1, C for step -1).
+    # Padded past the longer table, index i + step reads zero at both ends.
     length = max(len(total), len(known))
+    t = total.bounds + ((0, 0),) * (length + 1 - len(total))
+    k = known.bounds + ((0, 0),) * (length + 1 - len(known))
     chi = total.chi - known.chi
-    bounds = []
-    for i in range(length):
-        j = i + step
-        lo = max(0, total.lo(i) - known.hi(i)) + max(0, known.lo(j) - total.hi(j))
-        hi = total.hi(i) + known.hi(j)
-        bounds.append([lo, hi])
+    bounds = tuple((max(0, t[i][0] - k[i][1]) + max(0, k[i + step][0] - t[i + step][1]),
+                    t[i][1] + k[i + step][1]) for i in range(length))
     return CohomTable(_tightened(bounds, chi), chi)
 
 
@@ -145,12 +144,8 @@ def intersect(a: CohomTable, b: CohomTable) -> CohomTable:
     """Entrywise intersection of two sound bounds for the same object."""
     if a.chi != b.chi:
         raise ValueError("cannot intersect tables with different chi")
-    bounds = []
-    for (alo, ahi), (blo, bhi) in zip_longest(a.bounds, b.bounds, fillvalue=(0, 0)):
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if lo > hi:
-            raise ValueError("empty intersection: incompatible bounds")
-        bounds.append([lo, hi])
+    bounds = tuple((max(alo, blo), min(ahi, bhi)) for (alo, ahi), (blo, bhi)
+                   in zip_longest(a.bounds, b.bounds, fillvalue=(0, 0)))
     return CohomTable(_tightened(bounds, a.chi), a.chi)
 
 

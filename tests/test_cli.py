@@ -157,6 +157,8 @@ _BAD_PROFILES = {
     "h-bool": {"entries": [{"j": 1, "q": 1, "h": True}]},
     "h-float": {"entries": [{"j": 1, "q": 1, "h": 2.0}]},
     "j-and-h-coerced": {"entries": [{"j": 1.7, "q": 1, "h": True}]},
+    # raw text, past the JSON decoder's nesting limit: json.dumps cannot write it
+    "nested-too-deeply": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -164,7 +166,8 @@ _BAD_PROFILES = {
 @pytest.mark.parametrize("name", sorted(_BAD_PROFILES))
 def test_malformed_profile_exits_one(capsys, tmp_path, command, name):
     profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps(_BAD_PROFILES[name]))
+    bad = _BAD_PROFILES[name]
+    profile.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     where = ["--dim", "2"] if command == "veronese" else ["--scroll", "1,2"]
     code, out, err = run(capsys, command, *where, "--profile", str(profile))
     assert code == 1 and not out

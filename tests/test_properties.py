@@ -1,6 +1,8 @@
 """Property tests beyond the fixed sweeps: the hook convolution against
-tableaux enumerated one by one and against the dict-based convolution, Serre
-duality of the pushforward engine on generated scrolls, the Bott dimensions
+tableaux enumerated one by one, against the dict-based convolution and
+against the closed forms of its rank, total degree and extreme degrees, Serre
+duality of the pushforward engine on generated scrolls, Ext tables against
+the shifted cohomology table they are read from, the Bott dimensions
 on projective space, chase intervals around the exact values, the
 classification round trip, the arithmetic of dimension tables, their
 tightening against the integer points it must keep, and the split-bundle
@@ -13,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
-from scrollcoh import (CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
-                       classify, koszul_resolution, omega_cohomology,
-                       intersect, pn_omega_cohomology, type_sheaf)
+from scrollcoh import (Atom, CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
+                       classify, ext_line_vs_atom, hook_rank, koszul_resolution,
+                       line_atom, omega_cohomology, intersect, pn_omega_cohomology,
+                       type_sheaf)
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 
 # n <= 4 and splitting degrees <= 4
@@ -30,6 +33,18 @@ def test_omega_serre_duality(S, data, a, b):
     lhs = omega_cohomology(S, p, DivClass(a, b))
     rhs = omega_cohomology(S, S.n - p, DivClass(-a, -b - 2))
     assert lhs.values() == tuple(rhs.h(S.n + 1 - i) for i in range(S.n + 2))
+
+
+@given(scrolls, st.data(), twists, twists, twists, twists)
+def test_ext_line_vs_atom_reads_the_shifted_table(S, data, a, b, c, d):
+    # Ext^k(O(-D)[-shift], Omega^p(D')) = h^{k+shift}(Omega^p(D + D')), zero
+    # below degree 0, for shifts on both sides of zero and past either end
+    p = data.draw(st.integers(0, S.n))
+    shift = data.draw(st.integers(-(2 * S.n + 3), S.n + 3))
+    source, target = line_atom(DivClass(a, b)), Atom(p, DivClass(c, d))
+    coh = omega_cohomology(S, p, DivClass(a + c, b + d))
+    want = tuple(coh.h(k + shift) for k in range(S.n + 2 - shift))
+    assert ext_line_vs_atom(S, source, shift, target).values() == want
 
 
 def _tableaux(n, m, r):
@@ -94,6 +109,22 @@ def test_hook_sums_count_tableaux(degs, m, data):
 def test_packed_hook_sums_match_the_dict_convolution(degs, m, data):
     p = data.draw(st.integers(0, len(degs)))
     assert tuple(_pairs(_hook_sums(degs, m, p))) == dict_hook_sums(degs, m, p)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6).map(lambda d: tuple(sorted(d))),
+       st.integers(1, 8), st.data())
+def test_hook_sums_closed_forms(degs, m, data):
+    # the hook (m, 1^r) of sorted letters a_0..a_n: hook_rank tableaux, every
+    # letter equally frequent, least tableau m*a_0 + a_1 + ... + a_r and
+    # greatest (m-1)*a_n + a_{n-r} + ... + a_n
+    n = len(degs) - 1
+    r = data.draw(st.integers(0, n))
+    pairs = list(_pairs(_hook_sums(degs, m, r)))
+    rank = hook_rank(n + 1, m, r)
+    assert sum(count for _, count in pairs) == rank
+    assert (n + 1) * sum(d * count for d, count in pairs) == (m + r) * rank * sum(degs)
+    assert pairs[0][0] == m * degs[0] + sum(degs[1:r + 1])
+    assert pairs[-1][0] == (m - 1) * degs[-1] + sum(degs[n - r:])
 
 
 @given(degree_lists.filter(lambda d: len(d) >= 2), st.integers(1, 5), st.data())

@@ -6,9 +6,9 @@ from math import comb
 import pytest
 
 from conftest import all_scrolls
-from scrollcoh import (CohomTable, DivClass, FormalSheaf, H, Scroll, SplitBundle,
-                       ZERO_SHEAF, atom_rank, chase_bounds, fiber_degree,
-                       hook_rank, koszul_resolution, line_atom, omega_atom,
+from scrollcoh import (CohomTable, DivClass, FormalSheaf, H, IndeterminateError, Scroll,
+                       SplitBundle, ZERO_SHEAF, atom_rank, chase_bounds, fiber_degree,
+                       hook_rank, intersect, koszul_resolution, line_atom, omega_atom,
                        omega_cohomology, pn_omega_cohomology, rel_pushforward,
                        sheaf_chi, sheaf_cohomology)
 
@@ -244,3 +244,14 @@ def test_table_intervals_api():
     with pytest.raises(Exception):
         t.h(1)
     assert t.bound(7) == (0, 0)
+
+
+def test_open_entries_and_disjoint_bounds_raise():
+    # values() names the first open entry; tables whose boxes miss each other
+    # in some degree have no intersection
+    t = CohomTable(((0, 0), (1, 3), (0, 2)), chi=-2)
+    with pytest.raises(IndeterminateError, match=r"h\^1 "):
+        t.values()
+    box = CohomTable(((0, 2), (0, 2)), chi=0)
+    with pytest.raises(ValueError):
+        intersect(box, CohomTable(((3, 4), (3, 4)), chi=0))
