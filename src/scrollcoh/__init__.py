@@ -27,9 +27,9 @@ _EXPORTS = {
     "sheaves": ("Atom", "FormalSheaf", "ZERO_SHEAF", "atom_c1", "atom_rank", "deg_H",
                 "deg_slope", "dual_atom", "line_atom", "omega_atom", "sheaf_c1",
                 "sheaf_rank"),
-    "relative": ("atom_cohomology", "chase_bounds", "fiber_degree",
-                 "koszul_resolution", "omega_cohomology", "pn_omega_cohomology",
-                 "rel_pushforward", "sheaf_chi", "sheaf_cohomology"),
+    "relative": ("chase_bounds", "fiber_degree", "koszul_resolution",
+                 "omega_cohomology", "pn_omega_cohomology", "rel_pushforward",
+                 "sheaf_chi", "sheaf_cohomology"),
     "homext": ("ext_line_vs_atom", "hom_upper_bound", "segre_ext1"),
     "beilinson": ("BeilinsonTable", "Collection", "CollectionMember", "DualityReport",
                   "NotDiagonalError", "atom_label", "beilinson_table",

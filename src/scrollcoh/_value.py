@@ -6,7 +6,9 @@ hashing on the field tuple, optional ordering and a ``Name(field=...)``
 repr.  The constructor is compiled once per class, when the decorator runs,
 with the defaults in its signature, so Python's own call protocol binds the
 arguments and raises ``TypeError`` on a bad call; its file name names the
-class, for profiles and tracebacks.  The other methods are closures.
+class, for profiles and tracebacks; it reads each field annotated ``int``
+with ``operator.index``, so ``1.5`` or ``"2"`` raises ``TypeError`` and
+``True`` is stored as ``1``.  The other methods are closures.
 
 Each instance stores the tuple of its fields, taken after ``__post_init__``,
 as ``_key``: equality, hashing and ordering then read one attribute instead
@@ -15,6 +17,7 @@ and the caches hash scrolls and divisor classes.
 """
 
 from functools import total_ordering
+from operator import index
 
 
 def value(cls=None, /, *, order=False):
@@ -34,26 +37,27 @@ def value(cls=None, /, *, order=False):
     return _make_value(cls, order)
 
 
-def _constructor(cls, names):
-    # def __init__(self, a, b=<default>): set the fields, call __post_init__
-    # if the class defines one, and store the key: the argument tuple, or the
-    # fields read back if __post_init__ may have normalised them.
+def _constructor(cls, fields):
+    # def __init__(self, a, b=<default>): read the int fields with index, set
+    # the fields, call __post_init__ if the class defines one, and store the
+    # key: the field tuple, read back if __post_init__ may have normalised it.
     params = "".join(f", {n}=_defaults[{n!r}]" if n in cls.__dict__ else f", {n}"
-                     for n in names)
+                     for n in fields)
     lines = [f"def __init__(self{params}):"]
-    lines += [f"    _setattr(self, {n!r}, {n})" for n in names]
-    key = "".join(f"{n}, " for n in names)
+    lines += [f"    {n} = _index({n})" for n, kind in fields.items() if kind in (int, "int")]
+    lines += [f"    _setattr(self, {n!r}, {n})" for n in fields]
+    key = "".join(f"{n}, " for n in fields)
     if "__post_init__" in cls.__dict__:
         lines.append("    self.__post_init__()")
-        key = "".join(f"self.{n}, " for n in names)
+        key = "".join(f"self.{n}, " for n in fields)
     lines.append(f"    _setattr(self, '_key', ({key}))")
-    namespace = {"_setattr": object.__setattr__, "_defaults": cls.__dict__}
+    namespace = {"_setattr": object.__setattr__, "_index": index, "_defaults": cls.__dict__}
     exec(compile("\n".join(lines), f"<{cls.__qualname__}.__init__>", "exec"), namespace)
     return namespace["__init__"]
 
 
 def _make_value(cls, order):
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    fields = cls.__dict__.get("__annotations__", {})
     qualname = cls.__qualname__
 
     def __setattr__(self, name, val):
@@ -63,8 +67,8 @@ def _make_value(cls, order):
         raise AttributeError(f"{qualname} is immutable; cannot delete {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
-        return f"{self.__class__.__qualname__}({fields})"
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in fields)
+        return f"{self.__class__.__qualname__}({args})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -74,7 +78,7 @@ def _make_value(cls, order):
     def __hash__(self):
         return hash(self._key)
 
-    methods = [_constructor(cls, names), __setattr__, __delattr__, __repr__, __eq__, __hash__]
+    methods = [_constructor(cls, fields), __setattr__, __delattr__, __repr__, __eq__, __hash__]
 
     if order:
         def __lt__(self, other):

@@ -21,7 +21,7 @@ from math import comb
 # looks each one up in sys.modules after `from scrollcoh import cli`.  The
 # suites are not a layer, so only _cmd_verify imports scrollcoh.verify.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
-from .p1 import MAX_SLOTS, _slots, hook_rank
+from .p1 import MAX_SLOTS, _check_slots, hook_rank
 from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
@@ -39,9 +39,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 # reduces to the hook (m, 1^r) of its Bott regime: hook_rank(n + 1, m, r)
 # summands, and at most C(n + m, n + 1) * sum_{j <= r} C(n + 1, j) nonzero
 # counts in the convolution.  The convolution packs each of its m + r + 2
-# degree distributions into one integer with a slot per degree, so it also
-# holds up to p1._slots(m, r, spread) slots, spread being the largest minus
-# the least splitting degree, and p1 refuses more than MAX_SLOTS; below
+# degree distributions into one integer with a slot per degree; the library's
+# own check, p1._check_slots(m, r, spread), refuses more than MAX_SLOTS slots,
+# spread being the largest minus the least splitting degree.  Below
 # MAX_SUMMANDS a slot takes at most three bytes.  blocks, beilinson, classify
 # and verify check the widest hooks they run the same way (_check_scroll),
 # the chi-oracle suite counts its twists, and enumerate the types it would
@@ -126,7 +126,7 @@ def _check_hook(n: int, m: int, r: int, spread: int = 0) -> None:
         term = term * (n + 2 - j) // j
         cells += term
     _check_limit("the convolution size", cells, "MAX_CELLS", MAX_CELLS)
-    _check_limit("the packed convolution size", _slots(m, r, spread), "MAX_SLOTS", MAX_SLOTS)
+    _check_slots(m, r, spread)
 
 
 def _spread(scroll: Scroll) -> int:

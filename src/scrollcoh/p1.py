@@ -47,10 +47,13 @@ _UNIT: _Dist = (0, 1, 1)
 MAX_SLOTS = 10_000_000
 
 
-def _slots(m: int, p: int, spread: int) -> int:
+def _check_slots(m: int, p: int, spread: int) -> None:
     # the hook (m, 1^p) packs m + p + 2 distributions (its rows, its columns
     # and the output), each over at most (m + p) * spread + 1 degrees
-    return (m + p + 2) * ((m + p) * spread + 1)
+    slots = (m + p + 2) * ((m + p) * spread + 1)
+    if slots > MAX_SLOTS:
+        raise ValueError(f"the packed convolution size is {slots}, "
+                         f"above the limit MAX_SLOTS = {MAX_SLOTS}")
 
 
 @lru_cache(maxsize=None)
@@ -67,10 +70,7 @@ def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
     if p >= n:
         return _EMPTY
     lo = min(degs)
-    slots = _slots(m, p, max(degs) - lo)
-    if slots > MAX_SLOTS:
-        raise ValueError(f"the packed convolution size is {slots}, "
-                         f"above the limit MAX_SLOTS = {MAX_SLOTS}")
+    _check_slots(m, p, max(degs) - lo)
     # A packed distribution is its polynomial evaluated at x = 2^(8w), so the
     # shifts, sums and corner products are exact whatever the counts on the
     # way.  Only the output is read back slot by slot, which needs each of its

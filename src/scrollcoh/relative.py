@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
-from .sheaves import Atom, FormalSheaf, line_atom
+from .sheaves import FormalSheaf, line_atom
 from .tables import CohomTable, solve_quotient, solve_sub
 
 
@@ -74,24 +74,20 @@ def omega_cohomology(scroll: Scroll, p: int, div: DivClass) -> CohomTable:
     return CohomTable.exact(vals)
 
 
-def atom_cohomology(scroll: Scroll, atom: Atom) -> CohomTable:
-    return omega_cohomology(scroll, atom.p, atom.twist)
-
-
 def sheaf_cohomology(scroll: Scroll, sheaf: FormalSheaf) -> CohomTable:
     """Cohomology of a genuine (nonnegative) atom sum; exact and additive."""
     if not sheaf.is_effective:
         raise ValueError("cohomology needs nonnegative multiplicities")
     vals = [0] * (scroll.n + 2)
     for atom, mult in sheaf.terms:
-        for i, v in enumerate(atom_cohomology(scroll, atom).values()):
+        for i, v in enumerate(omega_cohomology(scroll, atom.p, atom.twist).values()):
             vals[i] += mult * v
     return CohomTable.exact(vals)
 
 
 def sheaf_chi(scroll: Scroll, sheaf: FormalSheaf) -> int:
     """Euler characteristic of any signed combination of atoms."""
-    return sum(m * atom_cohomology(scroll, a).chi for a, m in sheaf.terms)
+    return sum(m * omega_cohomology(scroll, a.p, a.twist).chi for a, m in sheaf.terms)
 
 
 def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf]:

@@ -47,17 +47,12 @@ class DivClass:
         return DivClass(k * self.h, k * self.f)
 
     def __str__(self) -> str:
-        parts = []
-        if self.h:
-            coeff = "" if self.h == 1 else "-" if self.h == -1 else str(self.h)
-            parts.append(f"{coeff}H")
-        if self.f:
-            coeff = "" if self.f == 1 else "-" if self.f == -1 else str(self.f)
-            if parts and self.f > 0:
-                parts.append(f"+{coeff}F")
-            else:
-                parts.append(f"{coeff}F")
-        return "".join(parts) if parts else "0"
+        out = ""
+        for k, basis in ((self.h, "H"), (self.f, "F")):
+            if k:
+                coeff = "" if k == 1 else "-" if k == -1 else str(k)
+                out += ("+" if out and k > 0 else "") + coeff + basis
+        return out or "0"
 
 
 H = DivClass(1, 0)

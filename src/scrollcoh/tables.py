@@ -29,12 +29,14 @@ class CohomTable:
     chi: int = 0
 
     def __post_init__(self) -> None:
-        for lo, hi in self.bounds:
+        bounds = tuple([(index(lo), index(hi)) for lo, hi in self.bounds])
+        for lo, hi in bounds:
             if not 0 <= lo <= hi:
                 raise ValueError(f"invalid dimension bound [{lo}, {hi}]")
+        object.__setattr__(self, "bounds", bounds)
         # the exact values, kept once; None while any entry is open
-        vals = tuple(lo for lo, hi in self.bounds if lo == hi)
-        if len(vals) < len(self.bounds):
+        vals = tuple([lo for lo, hi in bounds if lo == hi])
+        if len(vals) < len(bounds):
             vals = None
         elif sum(vals[::2]) - sum(vals[1::2]) != self.chi:
             raise ValueError("chi does not match the exact entries")
@@ -42,7 +44,7 @@ class CohomTable:
 
     @classmethod
     def exact(cls, values) -> "CohomTable":
-        vals = tuple(map(index, values))
+        vals = tuple(values)
         return cls(tuple((v, v) for v in vals), sum(vals[::2]) - sum(vals[1::2]))
 
     @classmethod

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from scrollcoh import Scroll
+from scrollcoh import Scroll, cli, hook_rank, p1
 from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_SLOTS, MAX_SUMMANDS,
-                           MAX_TWISTS, MAX_TYPES, _check_hook, _check_scroll, main)
+                           MAX_TWISTS, MAX_TYPES, SUITE_NAMES, _check_hook, _check_scroll, main)
 
 
 def run(capsys, *argv):
@@ -127,6 +128,8 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1 and err
     code, _, err = run(capsys, "line-coh", "--scroll", "1,2")
     assert code == 1  # no divisor given
+    code, _, err = run(capsys, "omega-coh", "--scroll", "1,2", "--div", "H")
+    assert code == 1 and "--p" in err
     code, _, err = run(capsys, "classify", "--scroll", "1,2",
                        "--profile", "/nonexistent/profile.json")
     assert code == 1 and err
@@ -157,6 +160,7 @@ _BAD_PROFILES = {
     "h-bool": {"entries": [{"j": 1, "q": 1, "h": True}]},
     "h-float": {"entries": [{"j": 1, "q": 1, "h": 2.0}]},
     "j-and-h-coerced": {"entries": [{"j": 1.7, "q": 1, "h": True}]},
+    "h-missing": {"entries": [{"j": 1, "q": 1}]},
     # raw text, past the JSON decoder's nesting limit: json.dumps cannot write it
     "nested-too-deeply": "[" * 100_000 + "]" * 100_000,
 }
@@ -512,3 +516,51 @@ def test_slot_limit_at_its_edge(capsys):
     # Sym^2 of O(1) + O(100001) has the degrees 2, 100002 and 200002
     h = run_json(capsys, "line-coh", "--scroll", "1,100001", "--div", "2H")["result"]["h"]
     assert h == [3 + 100003 + 200003, 0, 0]
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scrollcoh."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def _hook_sizes(letters, m, p, spread):
+    # rank, cells and packed slots of the hook (m, 1^p), as _check_hook counts them
+    cells = comb(letters + m - 1, letters) * sum(comb(letters, j) for j in range(p + 1))
+    return hook_rank(letters, m, p), cells, (m + p + 2) * ((m + p) * spread + 1)
+
+
+# _check_scroll lists by hand the hooks each command convolves; every hook the
+# engines then convolve must be no larger, in rank, cells or slots, than the
+# largest hook the command was checked against, or the limits let it through.
+@pytest.mark.parametrize("degrees", [(1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3), (2, 2, 3, 4),
+                                     (1, 1, 1, 2, 5), (1, 1, 1, 1, 1, 1)])
+def test_checked_hooks_cover_the_convolved_ones(monkeypatch, capsys, degrees):
+    scroll = ",".join(map(str, degrees))
+    ones = ",".join(["1"] * len(degrees))
+    runs = [["blocks"], ["beilinson", "--type", ones], ["classify", "--type", ones]]
+    runs += [["verify", "--suite", suite] for suite in SUITE_NAMES]
+    hook_sums, check_hook = p1._hook_sums, cli._check_hook
+    for argv in runs:
+        convolved, checked = set(), set()
+
+        def recording_hook_sums(degs, m, p):
+            if p < len(degs):  # p >= len(degs) is the zero bundle, no convolution
+                convolved.add(_hook_sizes(len(degs), m, p, max(degs) - min(degs)))
+            return hook_sums(degs, m, p)
+
+        def recording_check_hook(n, m, r, spread=0):
+            checked.add(_hook_sizes(n + 1, m, r, spread))
+            return check_hook(n, m, r, spread)
+
+        monkeypatch.setattr(p1, "_hook_sums", recording_hook_sums)
+        monkeypatch.setattr(cli, "_check_hook", recording_check_hook)
+        _clear_package_caches()
+        code, _, err = run(capsys, argv[0], "--scroll", scroll, *argv[1:])
+        assert code == 0, (argv, err)
+        assert convolved and checked, argv
+        largest = [max(sizes) for sizes in zip(*checked)]
+        for sizes in convolved:
+            assert all(s <= top for s, top in zip(sizes, largest)), (argv, sizes, largest)

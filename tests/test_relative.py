@@ -7,10 +7,10 @@ import pytest
 
 from conftest import all_scrolls
 from scrollcoh import (CohomTable, DivClass, FormalSheaf, H, IndeterminateError, Scroll,
-                       SplitBundle, ZERO_SHEAF, atom_rank, chase_bounds, fiber_degree,
-                       hook_rank, intersect, koszul_resolution, line_atom, omega_atom,
-                       omega_cohomology, pn_omega_cohomology, rel_pushforward,
-                       sheaf_chi, sheaf_cohomology)
+                       SplitBundle, ZERO_SHEAF, atom_rank, chase_bounds, dual_atom,
+                       fiber_degree, hook_rank, intersect, koszul_resolution, line_atom,
+                       omega_atom, omega_cohomology, pn_omega_cohomology, rel_pushforward,
+                       sheaf_chi, sheaf_cohomology, type_sheaf)
 
 
 def test_pushforward_section_regime():
@@ -255,3 +255,25 @@ def test_open_entries_and_disjoint_bounds_raise():
     box = CohomTable(((0, 2), (0, 2)), chi=0)
     with pytest.raises(ValueError):
         intersect(box, CohomTable(((3, 4), (3, 4)), chi=0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CohomTable(((2, 1),)),
+    lambda: CohomTable(((1, 1), (0, 0)), chi=0),
+    lambda: CohomTable.exact((1, 0)).scaled(-1),
+    lambda: intersect(CohomTable.exact((1,)), CohomTable.exact((2,))),
+    lambda: type_sheaf(Scroll((1, 2)), (1, 1, 1)),
+    lambda: type_sheaf(Scroll((1, 2)), (1, -1)),
+    lambda: hook_rank(3, 0, 0),
+], ids=["lo-above-hi", "chi-mismatch", "scaled-negative", "intersect-chi",
+        "type-length", "type-negative", "hook-m-zero"])
+def test_invalid_library_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_atom_normal_forms_at_the_ends():
+    S = Scroll((1, 1, 2))
+    D = DivClass(2, -1)
+    assert dual_atom(S, line_atom(D)) == line_atom(-D)
+    assert omega_atom(S, -1, D) is None and omega_atom(S, S.n + 1, D) is None

@@ -190,11 +190,21 @@ def test_defaults_fill_the_fields_left_out():
     (CohomTable.exact, ((1, 0.0),)),
     (type_sheaf, (Scroll((1, 2)), (1.5, 0))),
     (type_info, (Scroll((1, 2)), (1, "1"))),
-], ids=["bundle-float", "bundle-str", "scroll", "sheaf", "table", "type_sheaf", "type_info"])
+    (DivClass, (0.5, 3)),
+    (Atom, (1.5, DivClass())),
+    (CohomTable, (((0.5, 0.5), (1, 1.5)), 0.25)),
+    (CohomTable, (((1, 1),), 1.0)),
+], ids=["bundle-float", "bundle-str", "scroll", "sheaf", "table", "type_sheaf", "type_info",
+        "divisor", "atom", "table-bounds", "table-chi"])
 def test_integer_inputs_are_checked_not_truncated(make, args):
     # int() would read 1.5 as 1 and "2" as 2, a silent wrong answer
     with pytest.raises(TypeError):
         make(*args)
+
+
+def test_bool_table_entries_are_stored_as_ints():
+    values = CohomTable(((True, True),), 1).values()
+    assert values == (1,) and type(values[0]) is int
 
 
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():
