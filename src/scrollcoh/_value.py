@@ -13,7 +13,10 @@ with ``operator.index``, so ``1.5`` or ``"2"`` raises ``TypeError`` and
 Each instance stores the tuple of its fields, taken after ``__post_init__``,
 as ``_key``: equality, hashing and ordering then read one attribute instead
 of rebuilding the tuple, which matters when formal sheaves sort their atoms
-and the caches hash scrolls and divisor classes.
+and the caches hash scrolls and divisor classes.  ``cls._normal(*fields)``
+is the other way in, for callers that built every field in its normal form
+themselves: it sets the fields and ``_key`` as given, with no ``int`` reads
+and no ``__post_init__``.
 """
 
 from functools import total_ordering
@@ -78,6 +81,14 @@ def _make_value(cls, order):
     def __hash__(self):
         return hash(self._key)
 
+    def _normal(cls, *vals):
+        # every field given, in order, each already what __post_init__ makes it
+        self = object.__new__(cls)
+        for name, val in zip(fields, vals):
+            object.__setattr__(self, name, val)
+        object.__setattr__(self, "_key", vals)
+        return self
+
     methods = [_constructor(cls, fields), __setattr__, __delattr__, __repr__, __eq__, __hash__]
 
     if order:
@@ -91,4 +102,6 @@ def _make_value(cls, order):
     for fn in methods:
         fn.__qualname__ = f"{qualname}.{fn.__name__}"
         setattr(cls, fn.__name__, fn)
+    _normal.__qualname__ = f"{qualname}._normal"
+    cls._normal = classmethod(_normal)
     return total_ordering(cls) if order else cls

@@ -21,7 +21,7 @@ from math import comb
 # looks each one up in sys.modules after `from scrollcoh import cli`.  The
 # suites are not a layer, so only _cmd_verify imports scrollcoh.verify.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
-from .p1 import MAX_SLOTS, _check_slots, hook_rank
+from .p1 import MAX_SLOTS, MAX_SUMMANDS, _check_slots, hook_rank
 from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
@@ -42,11 +42,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 # degree distributions into one integer with a slot per degree; the library's
 # own check, p1._check_slots(m, r, spread), refuses more than MAX_SLOTS slots,
 # spread being the largest minus the least splitting degree.  Below
-# MAX_SUMMANDS a slot takes at most three bytes.  blocks, beilinson, classify
-# and verify check the widest hooks they run the same way (_check_scroll),
-# the chi-oracle suite counts its twists, and enumerate the types it would
-# list.
-MAX_SUMMANDS = 1_000_000
+# MAX_SUMMANDS a slot takes at most three bytes.  The library keeps
+# MAX_SUMMANDS too, when a distribution is expanded; the CLI checks it first,
+# in closed form.  blocks, beilinson, classify and verify check the widest
+# hooks they run the same way (_check_scroll), the chi-oracle suite counts
+# its twists, and enumerate the types it would list.
 MAX_CELLS = 2_000_000
 MAX_TYPES = 10_000
 MAX_TWISTS = 10_000

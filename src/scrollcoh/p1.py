@@ -21,9 +21,13 @@ The packed integer spans the degree range, (m + p) times the spread of the
 letters, so its size grows with that spread as well as with the counts;
 MAX_SLOTS caps it, and a wider convolution raises ValueError before it runs.
 
-Every bundle is normalised in one C-level pass (an integer check and sort),
-twists and duals map a C callable over the degrees, and h^0, h^1 are read by
-bisecting the sorted degrees at the sign boundary and summing one side.
+A bundle built from outside degrees is normalised in one C-level pass (an
+integer check and sort).  The bundles this module builds itself are already
+sorted integer tuples and skip it: a distribution expands in ascending order,
+a twist by an integer keeps the order and a dual is the negated reverse.  An
+expansion above MAX_SUMMANDS summands raises ValueError before it lists any.
+h^0 and h^1 are read by bisecting the sorted degrees at the sign boundary and
+summing one side.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ _EMPTY: _Dist = (0, 1, 0)
 _UNIT: _Dist = (0, 1, 1)
 
 MAX_SLOTS = 10_000_000
+MAX_SUMMANDS = 1_000_000
 
 
 def _check_slots(m: int, p: int, spread: int) -> None:
@@ -116,8 +121,14 @@ def _pairs(dist: _Dist) -> Iterator[tuple[int, int]]:
 
 
 def _expand(dist: _Dist) -> tuple[int, ...]:
+    """The degrees of a distribution, ascending, one per summand."""
+    pairs = list(_pairs(dist))
+    rank = sum(count for _, count in pairs)
+    if rank > MAX_SUMMANDS:
+        raise ValueError(f"the bundle rank is {rank}, "
+                         f"above the limit MAX_SUMMANDS = {MAX_SUMMANDS}")
     out: list[int] = []
-    for deg, count in _pairs(dist):
+    for deg, count in pairs:
         out.extend([deg] * count)
     return tuple(out)
 
@@ -170,11 +181,11 @@ class SplitBundle:
 
     def sym(self, k: int) -> SplitBundle:
         """Symmetric power: one summand per k-multiset of summands."""
-        return SplitBundle(_expand(_complete_sums(self.degrees, k)))
+        return SplitBundle._normal(_expand(_complete_sums(self.degrees, k)))
 
     def wedge(self, k: int) -> SplitBundle:
         """Exterior power: one summand per k-subset; zero outside 0..rank."""
-        return SplitBundle(_expand(_elementary_sums(self.degrees, k)))
+        return SplitBundle._normal(_expand(_elementary_sums(self.degrees, k)))
 
     def hook(self, m: int, p: int) -> SplitBundle:
         """Hook Schur functor for the shape (m, 1^p).
@@ -189,13 +200,13 @@ class SplitBundle:
             raise ValueError("hook shapes need m >= 1")
         if p < 0:
             raise ValueError("hook shapes need p >= 0")
-        return SplitBundle(_expand(_hook_sums(self.degrees, m, p)))
+        return SplitBundle._normal(_expand(_hook_sums(self.degrees, m, p)))
 
     def dual(self) -> SplitBundle:
-        return SplitBundle(map(neg, self.degrees))
+        return SplitBundle._normal(tuple(map(neg, reversed(self.degrees))))
 
     def twist(self, b: int) -> SplitBundle:
-        return SplitBundle(map(b.__add__, self.degrees))
+        return SplitBundle._normal(tuple(map(index(b).__add__, self.degrees)))
 
     def tensor(self, other: SplitBundle) -> SplitBundle:
         return SplitBundle([a + b for a in self.degrees for b in other.degrees])

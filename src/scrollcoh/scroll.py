@@ -97,7 +97,7 @@ class Scroll:
 
     @property
     def bundle(self) -> SplitBundle:
-        return SplitBundle(self.degrees)
+        return SplitBundle._normal(self.degrees)
 
     @property
     def canonical(self) -> DivClass:

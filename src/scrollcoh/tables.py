@@ -44,8 +44,13 @@ class CohomTable:
 
     @classmethod
     def exact(cls, values) -> "CohomTable":
-        vals = tuple(values)
-        return cls(tuple((v, v) for v in vals), sum(vals[::2]) - sum(vals[1::2]))
+        # checked here once, so the table skips __post_init__'s second pass
+        vals = tuple(map(index, values))
+        if vals and min(vals) < 0:
+            raise ValueError(f"invalid dimension bound [{min(vals)}, {min(vals)}]")
+        table = cls._normal(tuple(zip(vals, vals)), sum(vals[::2]) - sum(vals[1::2]))
+        object.__setattr__(table, "_vals", vals)
+        return table
 
     @classmethod
     def zero(cls, length: int) -> "CohomTable":

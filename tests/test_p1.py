@@ -10,7 +10,7 @@ import pytest
 from conftest import (brute_hook_degrees, brute_sym_degrees, brute_wedge_degrees,
                       dict_hook_sums)
 from scrollcoh import H, Scroll, SplitBundle, hook_rank
-from scrollcoh.p1 import MAX_SLOTS, _hook_sums, _pairs
+from scrollcoh.p1 import MAX_SLOTS, MAX_SUMMANDS, _hook_sums, _pairs
 
 
 def test_cohomology_of_single_summands():
@@ -210,3 +210,11 @@ def test_slot_limit_at_its_edge():
     assert (low, w) == (0, 1) and packed.bit_length() == 8 * 2 * 1_249_999 + 1
     with pytest.raises(ValueError, match="MAX_SLOTS"):
         _hook_sums((0, 1_250_000), 2, 0)
+
+
+def test_summand_limit_at_its_edge():
+    # Sym^k on two letters has k + 1 summands; the library keeps the CLI's
+    # MAX_SUMMANDS where a distribution is expanded
+    assert SplitBundle((0, 0)).sym(MAX_SUMMANDS - 1).rank == MAX_SUMMANDS
+    with pytest.raises(ValueError, match=f"above the limit MAX_SUMMANDS = {MAX_SUMMANDS}"):
+        SplitBundle((0, 0)).sym(MAX_SUMMANDS)

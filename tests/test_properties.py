@@ -6,7 +6,8 @@ the shifted cohomology table they are read from, the Bott dimensions
 on projective space, chase intervals around the exact values, the
 classification round trip, the arithmetic of dimension tables, their
 tightening against the integer points it must keep, and the split-bundle
-constructor, cohomology, twist and dual against their per-summand formulas."""
+constructor, cohomology, twist and dual against their per-summand formulas,
+and the bundles the calculus builds against the constructor's normal form."""
 
 from itertools import product
 
@@ -95,6 +96,27 @@ def test_split_bundle_matches_per_summand_formulas(x, b):
     assert B.h(2) == 0
     assert B.twist(b).degrees == tuple(sorted(d + b for d in want))
     assert B.dual().degrees == tuple(sorted(-d for d in want))
+
+
+@given(raw_degrees, st.one_of(st.integers(-5, 5), st.booleans()), st.integers(1, 4),
+       st.lists(st.integers(1, 5), min_size=2, max_size=5), st.data())
+def test_built_bundles_are_what_the_constructor_makes(x, b, m, scroll_degrees, data):
+    # hook, sym, wedge, twist, dual and Scroll.bundle set their degrees without
+    # the constructor's sort and int reads, so each result must already be its
+    # normal form: equal to, hashing and ordering as the constructor's result
+    # on the same degrees given in reverse
+    B = SplitBundle(x)
+    p = data.draw(st.integers(0, B.rank))
+    k = data.draw(st.integers(0, B.rank + 1))
+    hook = B.hook(m, p)
+    built = [B.twist(b), B.dual(), hook, hook.twist(b), hook.twist(b).dual(), B.sym(k), B.wedge(k),
+             Scroll(scroll_degrees).bundle]
+    for C in built:
+        want = SplitBundle(C.degrees[::-1])
+        assert C == want and hash(C) == hash(want) and C._key == want._key
+        assert not C < want and not want < C and (C < B) == (want < B)
+        assert type(C.degrees) is tuple and list(C.degrees) == sorted(C.degrees)
+        assert all(type(d) is int for d in C.degrees)
 
 
 @given(degree_lists, st.integers(1, 6), st.data())

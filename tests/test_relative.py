@@ -265,8 +265,9 @@ def test_open_entries_and_disjoint_bounds_raise():
     lambda: type_sheaf(Scroll((1, 2)), (1, 1, 1)),
     lambda: type_sheaf(Scroll((1, 2)), (1, -1)),
     lambda: hook_rank(3, 0, 0),
+    lambda: Scroll((1,) * 5).line_cohomology(200 * H),
 ], ids=["lo-above-hi", "chi-mismatch", "scaled-negative", "intersect-chi",
-        "type-length", "type-negative", "hook-m-zero"])
+        "type-length", "type-negative", "hook-m-zero", "rank-above-max-summands"])
 def test_invalid_library_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

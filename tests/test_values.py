@@ -194,8 +194,10 @@ def test_defaults_fill_the_fields_left_out():
     (Atom, (1.5, DivClass())),
     (CohomTable, (((0.5, 0.5), (1, 1.5)), 0.25)),
     (CohomTable, (((1, 1),), 1.0)),
+    (SplitBundle((1, 2)).twist, (1.5,)),
+    (SplitBundle((1, 2)).twist, ("2",)),
 ], ids=["bundle-float", "bundle-str", "scroll", "sheaf", "table", "type_sheaf", "type_info",
-        "divisor", "atom", "table-bounds", "table-chi"])
+        "divisor", "atom", "table-bounds", "table-chi", "twist-float", "twist-str"])
 def test_integer_inputs_are_checked_not_truncated(make, args):
     # int() would read 1.5 as 1 and "2" as 2, a silent wrong answer
     with pytest.raises(TypeError):
