@@ -15,18 +15,18 @@ import json
 import os
 import re
 import sys
-from math import comb
+from math import comb, prod
 
 # Every engine layer is imported here, not in the handlers: perfbench's tracer
 # looks each one up in sys.modules after `from scrollcoh import cli`.  The
-# suites are not a layer, so only _cmd_verify imports scrollcoh.verify.
+# suites are not a layer, so only the verify command imports scrollcoh.verify.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
 from .p1 import MAX_SLOTS, MAX_SUMMANDS, _check_slots, hook_rank
 from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
 from .tables import IndeterminateError, latex_table, md_table
-from .ulrich import (_block_ranks, block, block_atom, classify, enumerate_types,
+from .ulrich import (MAX_TYPES, block, block_atom, classify, enumerate_types,
                      is_ulrich, type_info, type_sheaf, veronese_table)
 
 EXIT_OK = 0
@@ -45,10 +45,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 # MAX_SUMMANDS a slot takes at most three bytes.  The library keeps
 # MAX_SUMMANDS too, when a distribution is expanded; the CLI checks it first,
 # in closed form.  blocks, beilinson, classify and verify check the widest
-# hooks they run the same way (_check_scroll), the chi-oracle suite counts
-# its twists, and enumerate the types it would list.
+# hooks they run the same way (_check_scroll), and the chi-oracle suite
+# counts its twists.  enumerate_types keeps MAX_TYPES itself.
 MAX_CELLS = 2_000_000
-MAX_TYPES = 10_000
 MAX_TWISTS = 10_000
 
 # the names of verify.SUITES, so that building the parser imports no suite
@@ -154,23 +153,13 @@ def _check_scroll(scroll: Scroll, command: str) -> None:
     if command == "homvanish" and n > 1:
         hooks += [(n - 1, 1)] + [(n, r) for r in range(2, n)]
     elif command == "chi-oracle":
+        from .verify import koszul_grid
+
         hooks += [(n + 3, n)] + [(n + 2 - r, r) for r in range(n + 1)]
-        # the suite's Koszul grid: p < n, |a| <= n + 2, |b| <= c + 2
-        twists = n * (2 * n + 5) * (2 * scroll.c + 5)
+        twists = prod(map(len, koszul_grid(scroll)))
         _check_limit("the chi-oracle grid", twists, "MAX_TWISTS", MAX_TWISTS)
     for m, r in hooks:
         _check_hook(n, m, r, _spread(scroll))
-
-
-def _check_types(scroll: Scroll, rank: int) -> None:
-    # ways[t] counts the a_0..a_n with sum a_i C(n, i) = t; as a_0 + a_n = rank
-    # alone gives rank + 1 types, a rank of MAX_TYPES or more is over at once
-    ways = [1] + [0] * min(rank, MAX_TYPES)
-    for w in _block_ranks(scroll.n):
-        for t in range(w, len(ways)):
-            ways[t] += ways[t - w]
-    count = rank + 1 if rank >= MAX_TYPES else ways[rank]
-    _check_limit("the number of types", count, "MAX_TYPES", MAX_TYPES)
 
 
 def _divisor_from(args) -> DivClass:
@@ -266,9 +255,6 @@ def _cmd_classify(args, scroll: Scroll):
 
 def _cmd_enumerate(args, scroll: Scroll):
     target = _one_of(args, "target", "rank", "h0")
-    rank = args.rank if target == "rank" else args.h0 // scroll.c
-    if rank >= 1 and (target == "rank" or args.h0 % scroll.c == 0):
-        _check_types(scroll, rank)
     rows = [dict(_type_payload(t), line_blocks=list(t.line_block_positions))
             for t in enumerate_types(scroll, rank=args.rank, h0=args.h0)]
     result = {"target": {target: getattr(args, target)}, "types": rows}

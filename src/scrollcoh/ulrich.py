@@ -17,10 +17,12 @@ from ._value import value
 from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
                         beilinson_table, beilinson_table_from_profile,
                         diagonal_type)
+from .p1 import MAX_SUMMANDS
 from .relative import pn_omega_cohomology, sheaf_cohomology
 from .scroll import DivClass, H, Scroll
-from .sheaves import (Atom, FormalSheaf, atom_rank, deg_slope, omega_atom,
-                      sheaf_rank)
+from .sheaves import Atom, FormalSheaf, deg_slope, omega_atom, sheaf_rank
+
+MAX_TYPES = 10_000
 
 
 def block_atom(scroll: Scroll, i: int) -> Atom:
@@ -31,15 +33,6 @@ def block_atom(scroll: Scroll, i: int) -> Atom:
     atom = omega_atom(scroll, i, DivClass.from_pair(i, i + 1))
     assert atom is not None
     return atom
-
-
-def _block_ranks(n: int) -> list[int]:
-    """The block ranks C(n, 0), ..., C(n, n), each from the one before: on
-    thousands of summands, math.comb afresh for every i costs seconds."""
-    ranks = [1]
-    for i in range(n):
-        ranks.append(ranks[-1] * (n - i) // (i + 1))
-    return ranks
 
 
 def block(scroll: Scroll, i: int) -> FormalSheaf:
@@ -136,15 +129,17 @@ def type_info(scroll: Scroll, multiplicities) -> TypeInfo:
     mults = tuple(map(index, multiplicities))
     sheaf = type_sheaf(scroll, mults)
     rank, c1, _deg, slope = deg_slope(scroll, sheaf)
-    lines = tuple(i for i, a in enumerate(mults)
-                  if a and atom_rank(scroll, block_atom(scroll, i)) == 1)
+    # blocks 0 and n are the line bundles, the only blocks of rank one
+    lines = tuple(i for i in (0, scroll.n) if mults[i])
     return TypeInfo(mults, rank, c1, scroll.c * rank, slope, lines)
 
 
 def enumerate_types(scroll: Scroll, rank: int | None = None,
                     h0: int | None = None) -> list[TypeInfo]:
     """All multiplicity vectors with the requested rank (or section count),
-    in ascending lexicographic order; possibly empty."""
+    in ascending lexicographic order; possibly empty.  Raises ValueError
+    naming MAX_TYPES or MAX_SUMMANDS before the listing holds more types, or
+    more entries in all, than that limit."""
     if (rank is None) == (h0 is None):
         raise ValueError("enumerate needs exactly one of rank or h0")
     if h0 is not None:
@@ -153,24 +148,37 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
         rank = h0 // scroll.c
     if rank < 1:
         return []
-    # An odometer over a_0 .. a_{n-1}, whose blocks have rank C(n, i); the
-    # last block has rank C(n, n) = 1 and takes what is left.  rest[i] is the
-    # rank left after a_0 .. a_{i-1}.
+    # Block i has rank C(n, i), which rises to the middle and falls back: only
+    # the blocks before the first of rank above `rank`, and their mirror
+    # images, can be nonzero.  The odometer runs over all of these but block
+    # n, which has rank 1 and takes what is left; rest[i] is the rank left
+    # after the first i of them.
     n = scroll.n
-    weights = _block_ranks(n)[:n]
-    acc, rest = [0] * n, [rank] * (n + 1)
+    ranks = [1]
+    while len(ranks) <= n and ranks[-1] <= rank:
+        ranks.append(ranks[-1] * (n + 1 - len(ranks)) // len(ranks))
+    k = len(ranks) - 1
+    weights = ranks[:k] + (ranks[k - 1:0:-1] if ranks[k] > rank else [])
+    m = len(weights)
+    zeros, acc, rest = (0,) * (n - m), [0] * m, [rank] * (m + 1)
     found: list[tuple[int, ...]] = []
     while True:
-        found.append((*acc, rest[n]))
-        pos = n - 1
+        if len(found) == MAX_TYPES:
+            raise ValueError(f"the number of types is at least {MAX_TYPES + 1}, "
+                             f"above the limit MAX_TYPES = {MAX_TYPES}")
+        if (len(found) + 1) * (n + 1) > MAX_SUMMANDS:
+            raise ValueError(f"the type listing has at least {(len(found) + 1) * (n + 1)} "
+                             f"entries, above the limit MAX_SUMMANDS = {MAX_SUMMANDS}")
+        found.append((*acc[:k], *zeros, *acc[k:], rest[m]))
+        pos = m - 1
         while pos >= 0 and rest[pos + 1] < weights[pos]:
             pos -= 1
         if pos < 0:
             return [type_info(scroll, t) for t in found]
         acc[pos] += 1
         rest[pos + 1] -= weights[pos]
-        acc[pos + 1:] = [0] * (n - 1 - pos)
-        rest[pos + 2:] = [rest[pos + 1]] * (n - 1 - pos)
+        acc[pos + 1:] = [0] * (m - 1 - pos)
+        rest[pos + 2:] = [rest[pos + 1]] * (m - 1 - pos)
 
 
 def _pn_labels(dim: int) -> tuple[tuple[str, ...], tuple[str, ...],

@@ -7,7 +7,7 @@ none of its names; the command line and the acceptance tests import it.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 from .beilinson import build_collections, verify_duality
 from .homext import hom_upper_bound
@@ -57,22 +57,25 @@ def homvanish(scroll: Scroll):
     return not failures, {"checked": len(pairs), "failures": failures}
 
 
-def chi_oracle(scroll: Scroll):
-    # Koszul sums for p < n, |a| <= n + 2, |b| <= c + 2; fibre twists for |b| <= 3
-    failures = []
+def koszul_grid(scroll: Scroll) -> tuple[range, range, range]:
+    """The p, a and b over which chi_oracle compares the Koszul sum of
+    Omega^p(aH + bF): p < n, |a| <= n + 2 and |b| <= c + 2."""
     n, c = scroll.n, scroll.c
-    for p in range(n):
-        for a in range(-n - 2, n + 3):
-            for b in range(-c - 2, c + 3):
-                div = DivClass(a, b)
-                res = koszul_resolution(scroll, p, div)
-                alt = sum((-1) ** idx * sheaf_chi(scroll, t)
-                          for idx, t in enumerate(res))
-                want = (-1) ** (len(res) - 1) * omega_cohomology(scroll, p, div).chi
-                if alt != want:
-                    failures.append({"p": p, "div": {"h": a, "f": b},
-                                     "alternating": alt, "expected": want})
-    for p in range(n + 1):
+    return range(n), range(-n - 2, n + 3), range(-c - 2, c + 3)
+
+
+def chi_oracle(scroll: Scroll):
+    # the Koszul sums over koszul_grid; fibre twists for |b| <= 3
+    failures = []
+    for p, a, b in product(*koszul_grid(scroll)):
+        div = DivClass(a, b)
+        res = koszul_resolution(scroll, p, div)
+        alt = sum((-1) ** idx * sheaf_chi(scroll, t) for idx, t in enumerate(res))
+        want = (-1) ** (len(res) - 1) * omega_cohomology(scroll, p, div).chi
+        if alt != want:
+            failures.append({"p": p, "div": {"h": a, "f": b},
+                             "alternating": alt, "expected": want})
+    for p in range(scroll.n + 1):
         for b in range(-3, 4):
             got = omega_cohomology(scroll, p, DivClass(0, b)).chi
             if got != (-1) ** p * (b + 1):

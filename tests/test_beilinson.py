@@ -35,6 +35,12 @@ def test_collection_display_for_threefolds():
     assert f[2 * S.n + 1].atom.twist.pair() == (S.c - 3, -1)
 
 
+def test_collections_have_length_2n_plus_2():
+    for S in [Scroll((1, 2)), Scroll((1, 1, 1)), Scroll((2, 3, 4, 5))]:
+        e, f = build_collections(S)
+        assert len(e) == len(f) == len(list(e)) == 2 * S.n + 2
+
+
 def test_top_dual_member_is_normalised_differential():
     # the next-to-last dual member equals the top relative differential with
     # its standard twist, after line normalisation

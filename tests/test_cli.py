@@ -7,12 +7,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from scrollcoh import Scroll, cli, hook_rank, p1
+from scrollcoh import Scroll, cli, hook_rank, p1, ulrich
 from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_SLOTS, MAX_SUMMANDS,
                            MAX_TWISTS, MAX_TYPES, SUITE_NAMES, _check_hook, _check_scroll, main)
 
@@ -377,6 +378,7 @@ def test_spaces_around_integers_are_allowed(capsys):
     (["enumerate", "--scroll", "1,1,1,1,1,1", "--rank", "200"], "MAX_TYPES"),
     (["enumerate", "--scroll", "1,2", "--rank", "99999999999999999999"], "MAX_TYPES"),
     (["enumerate", "--scroll", "1,1", "--h0", "20002"], "MAX_TYPES"),
+    (["enumerate", "--scroll", ",".join(["1"] * 2001), "--rank", "1999"], "MAX_SUMMANDS"),
 ])
 def test_size_limits_exit_one(capsys, argv, limit):
     code, out, err = run(capsys, *argv)
@@ -405,6 +407,25 @@ def test_enumerate_on_six_thousand_and_one_summands(capsys):
     assert time.perf_counter() - start < 2.0
     types = [t["type"] for t in payload["result"]["types"]]
     assert types == [[0] * 6000 + [1], [1] + [0] * 6000]
+
+
+def test_enumerate_on_sixty_thousand_and_one_summands(capsys):
+    # only blocks 0 and n have rank at most 1, so no larger binomial is formed;
+    # a table of every C(n, i) held over 300 MB
+    tracemalloc.start()
+    try:
+        payload = run_json(capsys, "enumerate", "--scroll", ",".join(["1"] * 60001),
+                           "--rank", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    types = [t["type"] for t in payload["result"]["types"]]
+    assert types == [[0] * 60000 + [1], [1] + [0] * 60000]
+
+
+def test_cli_names_the_library_type_limit():
+    assert cli.MAX_TYPES is ulrich.MAX_TYPES
 
 
 @pytest.mark.parametrize("argv", [

@@ -205,6 +205,14 @@ def test_sheaf_cohomology_additive_and_signed_rejected():
         sheaf_cohomology(S, x.scaled(-1))
 
 
+def test_zero_sheaf_is_the_empty_sum():
+    S = Scroll((1, 1, 1))
+    x = FormalSheaf.of(omega_atom(S, 1, DivClass(1, 1)))
+    assert ZERO_SHEAF.is_zero and FormalSheaf().is_zero
+    assert not x.is_zero and (x + x.scaled(-1)).is_zero
+    assert sheaf_cohomology(S, ZERO_SHEAF).values() == (0, 0, 0, 0)
+
+
 def test_pn_bott_dimensions():
     assert pn_omega_cohomology(2, 1, 0).values() == (0, 1, 0)
     # Euler sequence oracle on the plane: h^0(Omega^1(2)) = 3*h^0(O(1)) - h^0(O(2))
@@ -266,8 +274,10 @@ def test_open_entries_and_disjoint_bounds_raise():
     lambda: type_sheaf(Scroll((1, 2)), (1, -1)),
     lambda: hook_rank(3, 0, 0),
     lambda: Scroll((1,) * 5).line_cohomology(200 * H),
+    lambda: CohomTable.exact((1, -1)),
 ], ids=["lo-above-hi", "chi-mismatch", "scaled-negative", "intersect-chi",
-        "type-length", "type-negative", "hook-m-zero", "rank-above-max-summands"])
+        "type-length", "type-negative", "hook-m-zero", "rank-above-max-summands",
+        "exact-negative"])
 def test_invalid_library_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

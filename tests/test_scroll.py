@@ -49,6 +49,13 @@ def test_divisor_arithmetic_and_str():
     assert str(DivClass(-1, 3)) == "-H+3F"
 
 
+def test_scroll_h_reads_one_entry_of_the_table():
+    S = Scroll((1, 2))
+    for div in (H, 2 * H - F, -3 * H, DivClass(-1, -4)):
+        table = S.line_cohomology(div)
+        assert [S.h(div, i) for i in range(S.n + 2)] == list(table.values())
+
+
 def test_line_cohomology_hyperplane():
     S = Scroll((1, 2))
     assert S.line_cohomology(H).values() == (5, 0, 0)

@@ -1,15 +1,19 @@
 """Ulrich verification, classification, enumeration and Veronese tables."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_scrolls
 from scrollcoh import (DivClass, FormalSheaf, NotDiagonalError, NotUlrichError,
                        Scroll, atom_rank, block, block_atom, classify,
                        enumerate_types, is_ulrich, line_atom,
                        type_sheaf, veronese_classify, veronese_table)
+from scrollcoh.p1 import MAX_SUMMANDS
 
 
 def test_block_normalisations():
@@ -132,6 +136,72 @@ def test_enumerate_by_section_count():
         enumerate_types(S)
     with pytest.raises(ValueError):
         enumerate_types(S, rank=1, h0=3)
+
+
+def count_types(n, rank):
+    """The number of a_0, ..., a_n with sum a_i C(n, i) = rank, by counting
+    the ways to make each total from the block ranks one block at a time."""
+    ways = [1] + [0] * rank
+    for w in (comb(n, i) for i in range(n + 1)):
+        for t in range(w, rank + 1):
+            ways[t] += ways[t - w]
+    return ways[rank]
+
+
+def brute_types(n, rank):
+    """Every type of the rank: a_0 .. a_{n-1} drawn from a product of ranges,
+    and a_n, of block rank 1, taking what is left."""
+    weights = [comb(n, i) for i in range(n)]
+    return sorted((*head, rank - sum(a * w for a, w in zip(head, weights)))
+                  for head in product(*(range(rank // w + 1) for w in weights))
+                  if sum(a * w for a, w in zip(head, weights)) <= rank)
+
+
+def test_count_types_small_cases():
+    # rank one is the two line bundles; rank two on a surface scroll is
+    # (0,0,2), (0,1,0), (1,0,1), (2,0,0); on P^1-bundles a_0 + a_1 = rank
+    assert [count_types(n, 1) for n in range(1, 6)] == [2] * 5
+    assert count_types(2, 2) == 4
+    assert [count_types(1, r) for r in range(6)] == [1, 2, 3, 4, 5, 6]
+
+
+scrolls_for_types = st.one_of(
+    st.lists(st.integers(1, 4), min_size=2, max_size=8).map(Scroll),
+    st.integers(1, 60).map(lambda n: Scroll((1,) * (n + 1))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(scrolls_for_types, st.integers(0, 40))
+def test_enumerate_types_against_the_counting_oracle(S, rank):
+    n = S.n
+    infos = enumerate_types(S, rank=rank)
+    types = [t.multiplicities for t in infos]
+    assert all(a < b for a, b in zip(types, types[1:]))
+    assert all(sum(comb(n, i) * a for i, a in enumerate(t)) == rank for t in types)
+    assert len(types) == (count_types(n, rank) if rank else 0)
+    if n <= 4 and rank:
+        assert types == brute_types(n, rank)
+    for t in infos:
+        assert t.rank == rank and len(t.multiplicities) == n + 1
+        assert t.line_block_positions == tuple(i for i in sorted({0, n})
+                                               if t.multiplicities[i])
+
+
+@pytest.mark.parametrize("degrees,rank,limit", [
+    ((1, 2), 10 ** 20, "MAX_TYPES"),
+    ((1,) * 6, 200, "MAX_TYPES"),
+    ((1,) * 1001, 999, "MAX_SUMMANDS"),
+    ((1,) * 2001, 1999, "MAX_SUMMANDS"),
+])
+def test_enumerate_refuses_listings_above_its_limits(degrees, rank, limit):
+    with pytest.raises(ValueError, match=f"above the limit {limit} = "):
+        enumerate_types(Scroll(degrees), rank=rank)
+
+
+def test_type_listing_at_its_edge():
+    # 999 types of 1001 entries stay within MAX_SUMMANDS; rank 999 passes it
+    infos = enumerate_types(Scroll((1,) * 1001), rank=998)
+    assert len(infos) == 999 and 999 * 1001 <= MAX_SUMMANDS < 1000 * 1001
 
 
 def test_veronese_surface_table():

@@ -6,6 +6,7 @@ import it, because it is the largest part of the command line start-up.
 """
 
 import dataclasses
+import operator
 import os
 import subprocess
 import sys
@@ -123,6 +124,19 @@ def test_agrees_with_dataclass_twin(x, y):
     assert (x != y) == (tx != ty)
     if type(x) in _ORDERED:
         assert (x < y, x <= y, x > y, x >= y) == (tx < ty, tx <= ty, tx > ty, tx >= ty)
+
+
+@pytest.mark.parametrize("x, y", [
+    (DivClass(), Scroll((1, 2))),
+    (Atom(0, DivClass()), SplitBundle((1,))),
+    (SplitBundle(), DivClass()),
+], ids=["divisor-scroll", "atom-bundle", "bundle-divisor"])
+def test_order_across_classes_raises_type_error(x, y):
+    # as between two dataclasses: __lt__ answers NotImplemented for another class
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((x, y), (twin(x), twin(y))):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 @given(values)

@@ -1,10 +1,11 @@
 """The verification suites, pinned by the size of their grids."""
 
 import json
+from math import comb
 
 import pytest
 
-from scrollcoh import CohomTable, Scroll, omega_cohomology
+from scrollcoh import CohomTable, Scroll, UlrichVerdict, omega_cohomology
 from scrollcoh import verify
 from scrollcoh.cli import SUITE_NAMES, main
 
@@ -34,6 +35,37 @@ def test_failed_suite_exits_three(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["passed"] is False
     assert main(["verify", "--suite", "chi-oracle", "--scroll", "1,2", "--format", "md"]) == 3
     assert capsys.readouterr().out == "suite chi-oracle: FAIL\n"
+
+
+def test_blocks_suite_reports_every_failing_block(monkeypatch, capsys):
+    # a verdict that fails every block, expecting one section more than it found
+    real = verify.is_ulrich
+
+    def failing(scroll, sheaf):
+        v = real(scroll, sheaf)
+        return UlrichVerdict(False, v.rank, v.h0, v.expected_h0 + 1, v.initialized,
+                             v.vanishing, ("forced",))
+
+    monkeypatch.setattr(verify, "is_ulrich", failing)
+    S = Scroll((1, 1, 2))
+    passed, details = verify.SUITES["blocks"](S)
+    h0 = [S.c * comb(S.n, i) for i in range(S.n + 1)]
+    assert not passed
+    assert details == {"failures": [{"i": i, "h0": h, "expected": h + 1, "failures": ["forced"]}
+                                    for i, h in enumerate(h0)]}
+    assert main(["verify", "--suite", "blocks", "--scroll", "1,1,2"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"]["details"] == details
+
+
+def test_homvanish_suite_reports_every_pair_it_cannot_bound(monkeypatch):
+    # an upper bound of one on every Hom: each of the 3n(n+1)/2 pairs fails
+    monkeypatch.setattr(verify, "hom_upper_bound",
+                        lambda scroll, x, y: CohomTable(((0, 1),) * (scroll.n + 2)))
+    S = Scroll((1, 2, 2))
+    passed, details = verify.SUITES["homvanish"](S)
+    tags = [tag for _, _, tag in verify.required_hom_pairs(S)]
+    assert not passed and details["checked"] == len(tags) == 3 * S.n * (S.n + 1) // 2
+    assert details["failures"] == [{"pair": tag, "bound": [0, 1]} for tag in tags]
 
 
 def test_cli_suite_names_are_the_suites():
