@@ -21,7 +21,7 @@ from math import comb, prod
 # looks each one up in sys.modules after `from scrollcoh import cli`.  The
 # suites are not a layer, so only the verify command imports scrollcoh.verify.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
-from .p1 import MAX_SLOTS, MAX_SUMMANDS, _check_slots, hook_rank
+from .p1 import MAX_SLOTS, MAX_SUMMANDS, _check_limit, _check_slots, hook_rank
 from .relative import _bott, omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
@@ -46,7 +46,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 # MAX_SUMMANDS too, when a distribution is expanded; the CLI checks it first,
 # in closed form.  blocks, beilinson, classify and verify check the widest
 # hooks they run the same way (_check_scroll), and the chi-oracle suite
-# counts its twists.  enumerate_types keeps MAX_TYPES itself.
+# counts its twists.  enumerate_types keeps MAX_TYPES itself.  Every limit,
+# here and in the library, refuses through p1._check_limit.
 MAX_CELLS = 2_000_000
 MAX_TWISTS = 10_000
 
@@ -110,11 +111,6 @@ def _check_p(p: int, top: int, name: str) -> None:
         raise ValueError(f"--p must lie in 0..{name} (0..{top} here), got {p}")
 
 
-def _check_limit(what: str, count: int, name: str, limit: int) -> None:
-    if count > limit:
-        raise ValueError(f"{what} is at least {count}, above the limit {name} = {limit}")
-
-
 def _check_hook(n: int, m: int, r: int, spread: int = 0) -> None:
     _check_limit("the pushforward rank", hook_rank(n + 1, m, r), "MAX_SUMMANDS", MAX_SUMMANDS)
     # the terms C(n + m, n + 1) * C(n + 1, j), summed until past the limit
@@ -130,12 +126,6 @@ def _check_hook(n: int, m: int, r: int, spread: int = 0) -> None:
 
 def _spread(scroll: Scroll) -> int:
     return scroll.degrees[-1] - scroll.degrees[0]
-
-
-def _check_size(scroll: Scroll, p: int, div: DivClass) -> None:
-    regime = _bott(scroll.n, p, div.h)
-    if regime is not None and regime[1]:
-        _check_hook(scroll.n, regime[1], regime[2], _spread(scroll))
 
 
 def _check_scroll(scroll: Scroll, command: str) -> None:
@@ -201,7 +191,9 @@ def _cmd_coh(args, scroll: Scroll):
         result["p"] = args.p
     div = _divisor_from(args)
     p = result.get("p", 0)
-    _check_size(scroll, p, div)
+    regime = _bott(scroll.n, p, div.h)
+    if regime is not None and regime[1]:
+        _check_hook(scroll.n, regime[1], regime[2], _spread(scroll))
     table = omega_cohomology(scroll, p, div)
     h = list(table.values())
     result.update(div=_div_payload(div), pair=list(div.pair()), h=h, chi=table.chi)

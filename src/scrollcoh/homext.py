@@ -11,6 +11,7 @@ first Ext group between shifted building blocks.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 from .relative import chase_bounds, koszul_resolution, omega_cohomology
 from .scroll import Scroll
@@ -26,7 +27,8 @@ def ext_line_vs_atom(scroll: Scroll, source: Atom, shift: int, target: Atom) -> 
     """
     if not source.is_line:
         raise ValueError("source must be a (shifted) line bundle")
-    coh = omega_cohomology(scroll, target.p, target.twist + source.twist)
+    hom = _hom_atom(scroll, Atom(0, -source.twist), target)
+    coh = omega_cohomology(scroll, hom.p, hom.twist)
     return CohomTable.exact((0,) * -shift + coh.values()[max(shift, 0):])
 
 
@@ -39,11 +41,9 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     lower bound 1 when source and target agree.  Entries the chases cannot
     force stay intervals.
     """
-    if source.is_line:
-        table = omega_cohomology(scroll, target.p, target.twist - source.twist)
-    elif target.is_line:
-        sd = dual_atom(scroll, source)
-        table = omega_cohomology(scroll, sd.p, sd.twist + target.twist)
+    if source.is_line or target.is_line:
+        hom = _hom_atom(scroll, source, target)
+        table = omega_cohomology(scroll, hom.p, hom.twist)
     else:
         table = intersect(_chase_resolving_target(scroll, source, target),
                           _chase_coresolving_source(scroll, source, target))
@@ -55,25 +55,31 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     return table
 
 
-def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
-    # Koszul-resolve the target and tensor with the source's dual, which is
-    # again a single twisted relative differential; every term stays exact.
+def _hom_atom(scroll: Scroll, source: Atom, target: Atom) -> Atom:
+    # source^v x target, a single twisted atom when either side is a line bundle
+    if source.is_line:
+        return Atom(target.p, target.twist - source.twist)
     sd = dual_atom(scroll, source)
-    terms = []
-    for piece in koszul_resolution(scroll, target.p, target.twist):
-        terms.append(FormalSheaf(tuple((Atom(sd.p, sd.twist + atom.twist), mult)
-                                       for atom, mult in piece.terms)))
+    return Atom(sd.p, sd.twist + target.twist)
+
+
+def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
+    # Tensor the target's Koszul resolution with the source's dual Omega^q(E).
+    # Twisting the resolution of Omega^p(D) by E resolves Omega^p(D + E), and
+    # Omega^q(D + E) is the Hom into O(D), so each line O(L) of that resolution
+    # becomes the exact atom Omega^q(L).
+    hom = _hom_atom(scroll, source, Atom(0, target.twist))
+    terms = [FormalSheaf(tuple((Atom(hom.p, atom.twist), mult) for atom, mult in piece.terms))
+             for piece in koszul_resolution(scroll, target.p, hom.twist)]
     return chase_bounds(scroll, terms, solve="cokernel")
 
 
 def _chase_coresolving_source(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     # Dualising the source's Koszul resolution coresolves its dual; tensoring
     # with the target keeps every term a sum of computable atoms.
-    res = koszul_resolution(scroll, source.p, source.twist)
-    terms = []
-    for piece in reversed(res):
-        terms.append(FormalSheaf(tuple((Atom(target.p, target.twist - atom.twist), mult)
-                                       for atom, mult in piece.terms)))
+    terms = [FormalSheaf(tuple((_hom_atom(scroll, atom, target), mult)
+                               for atom, mult in piece.terms))
+             for piece in reversed(koszul_resolution(scroll, source.p, source.twist))]
     return chase_bounds(scroll, terms, solve="kernel")
 
 
@@ -83,7 +89,7 @@ def segre_ext1(scroll: Scroll, i: int, j: int) -> int:
     zero otherwise."""
     if any(a != 1 for a in scroll.degrees):
         raise ValueError("the closed form is specific to the Segre scroll")
-    n = scroll.n
+    n, i, j = scroll.n, index(i), index(j)
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("block indices out of range")
     if i <= j + 1:

@@ -52,13 +52,17 @@ MAX_SLOTS = 10_000_000
 MAX_SUMMANDS = 1_000_000
 
 
+def _check_limit(what: str, count: int, name: str, limit: int) -> None:
+    """The one refusal of every size limit: ValueError when count passes it."""
+    if count > limit:
+        raise ValueError(f"{what} is at least {count}, above the limit {name} = {limit}")
+
+
 def _check_slots(m: int, p: int, spread: int) -> None:
     # the hook (m, 1^p) packs m + p + 2 distributions (its rows, its columns
     # and the output), each over at most (m + p) * spread + 1 degrees
-    slots = (m + p + 2) * ((m + p) * spread + 1)
-    if slots > MAX_SLOTS:
-        raise ValueError(f"the packed convolution size is {slots}, "
-                         f"above the limit MAX_SLOTS = {MAX_SLOTS}")
+    _check_limit("the packed convolution size", (m + p + 2) * ((m + p) * spread + 1),
+                 "MAX_SLOTS", MAX_SLOTS)
 
 
 @lru_cache(maxsize=None)
@@ -124,9 +128,7 @@ def _expand(dist: _Dist) -> tuple[int, ...]:
     """The degrees of a distribution, ascending, one per summand."""
     pairs = list(_pairs(dist))
     rank = sum(count for _, count in pairs)
-    if rank > MAX_SUMMANDS:
-        raise ValueError(f"the bundle rank is {rank}, "
-                         f"above the limit MAX_SUMMANDS = {MAX_SUMMANDS}")
+    _check_limit("the bundle rank", rank, "MAX_SUMMANDS", MAX_SUMMANDS)
     out: list[int] = []
     for deg, count in pairs:
         out.extend([deg] * count)

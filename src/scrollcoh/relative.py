@@ -12,6 +12,7 @@ objects outside the exact engine by intervals that are never guessed tight.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
@@ -25,6 +26,7 @@ def _bott(n: int, p: int, a: int) -> tuple[int, int, int] | None:
     q0 is the one degree where cohomology survives and (m, 1^r) the hook
     shape of what survives there; m = 0 stands for the trace line at a = 0.
     """
+    p, a = index(p), index(a)
     if not 0 <= p <= n:
         return None
     if a >= p + 1:

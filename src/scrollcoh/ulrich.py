@@ -17,7 +17,7 @@ from ._value import value
 from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
                         beilinson_table, beilinson_table_from_profile,
                         diagonal_type)
-from .p1 import MAX_SUMMANDS
+from .p1 import MAX_SUMMANDS, _check_limit
 from .relative import pn_omega_cohomology, sheaf_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import Atom, FormalSheaf, deg_slope, omega_atom, sheaf_rank
@@ -143,10 +143,10 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
     if (rank is None) == (h0 is None):
         raise ValueError("enumerate needs exactly one of rank or h0")
     if h0 is not None:
-        if h0 % scroll.c:
+        rank, rem = divmod(index(h0), scroll.c)
+        if rem:
             return []
-        rank = h0 // scroll.c
-    if rank < 1:
+    if index(rank) < 1:
         return []
     # Block i has rank C(n, i), which rises to the middle and falls back: only
     # the blocks before the first of rank above `rank`, and their mirror
@@ -163,12 +163,9 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
     zeros, acc, rest = (0,) * (n - m), [0] * m, [rank] * (m + 1)
     found: list[tuple[int, ...]] = []
     while True:
-        if len(found) == MAX_TYPES:
-            raise ValueError(f"the number of types is at least {MAX_TYPES + 1}, "
-                             f"above the limit MAX_TYPES = {MAX_TYPES}")
-        if (len(found) + 1) * (n + 1) > MAX_SUMMANDS:
-            raise ValueError(f"the type listing has at least {(len(found) + 1) * (n + 1)} "
-                             f"entries, above the limit MAX_SUMMANDS = {MAX_SUMMANDS}")
+        _check_limit("the number of types", len(found) + 1, "MAX_TYPES", MAX_TYPES)
+        _check_limit("the number of listed entries", (len(found) + 1) * (n + 1),
+                     "MAX_SUMMANDS", MAX_SUMMANDS)
         found.append((*acc[:k], *zeros, *acc[k:], rest[m]))
         pos = m - 1
         while pos >= 0 and rest[pos + 1] < weights[pos]:

@@ -1,13 +1,14 @@
 """Property tests beyond the fixed sweeps: the hook convolution against
 tableaux enumerated one by one, against the dict-based convolution and
 against the closed forms of its rank, total degree and extreme degrees, Serre
-duality of the pushforward engine on generated scrolls, Ext tables against
-the shifted cohomology table they are read from, the Bott dimensions
-on projective space, chase intervals around the exact values, the
-classification round trip, the arithmetic of dimension tables, their
-tightening against the integer points it must keep, and the split-bundle
-constructor, cohomology, twist and dual against their per-summand formulas,
-and the bundles the calculus builds against the constructor's normal form."""
+duality of the pushforward engine on generated scrolls and across the two
+line-bundle sides of hom_upper_bound, Ext tables against the shifted
+cohomology table they are read from, the Bott dimensions on projective
+space, chase intervals around the exact values, the classification round
+trip, the arithmetic of dimension tables, their tightening against the
+integer points it must keep, and the split-bundle constructor, cohomology,
+twist and dual against their per-summand formulas, and the bundles the
+calculus builds against the constructor's normal form."""
 
 from itertools import product
 
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
 from scrollcoh import (Atom, CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
-                       classify, ext_line_vs_atom, hook_rank, koszul_resolution,
-                       line_atom, omega_cohomology, intersect, pn_omega_cohomology,
-                       type_sheaf)
+                       classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
+                       koszul_resolution, line_atom, omega_atom, omega_cohomology,
+                       intersect, pn_omega_cohomology, type_sheaf)
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 
 # n <= 4 and splitting degrees <= 4
@@ -46,6 +47,16 @@ def test_ext_line_vs_atom_reads_the_shifted_table(S, data, a, b, c, d):
     coh = omega_cohomology(S, p, DivClass(a + c, b + d))
     want = tuple(coh.h(k + shift) for k in range(S.n + 2 - shift))
     assert ext_line_vs_atom(S, source, shift, target).values() == want
+
+
+@given(scrolls, st.data(), twists, twists, twists, twists)
+def test_hom_with_a_line_bundle_is_serre_dual_across_the_two_line_sides(S, data, a, b, c, d):
+    # Ext^k(L, A) = Ext^{n+1-k}(A, L + K)^*: the line source on the left and the
+    # line target on the right reach the same atom with both signs of the rule
+    L = line_atom(DivClass(a, b))
+    A = omega_atom(S, data.draw(st.integers(0, S.n)), DivClass(c, d))
+    dual = hom_upper_bound(S, A, line_atom(L.twist + S.canonical))
+    assert hom_upper_bound(S, L, A).values() == tuple(reversed(dual.values()))
 
 
 def _tableaux(n, m, r):

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scrollcoh import (Atom, BeilinsonTable, CohomTable, Collection,
+from scrollcoh import (H, Atom, BeilinsonTable, CohomTable, Collection,
                        CollectionMember, DivClass, DualityReport, FormalSheaf,
                        Scroll, SplitBundle, TypeInfo, UlrichVerdict,
-                       beilinson_table, is_ulrich, type_info, type_sheaf,
-                       verify_duality, veronese_table)
+                       beilinson_table, enumerate_types, fiber_degree, is_ulrich,
+                       omega_cohomology, pn_omega_cohomology, segre_ext1, type_info,
+                       type_sheaf, verify_duality, veronese_table)
 from scrollcoh._value import value
 from scrollcoh.beilinson import build_collections
 
@@ -210,8 +211,18 @@ def test_defaults_fill_the_fields_left_out():
     (CohomTable, (((1, 1),), 1.0)),
     (SplitBundle((1, 2)).twist, (1.5,)),
     (SplitBundle((1, 2)).twist, ("2",)),
+    (omega_cohomology, (Scroll((1, 1, 1)), 1.5, H)),
+    (pn_omega_cohomology, (2, 1, 0.5)),
+    (fiber_degree, (2, 1.5, 1)),
+    (veronese_table, (2, None, (1, 0.5))),
+    (enumerate_types, (Scroll((1, 2)), None, 7.5)),
+    (enumerate_types, (Scroll((1, 2)), 0.5)),
+    (segre_ext1, (Scroll((1, 1, 1)), 0.5, 0)),
+    (segre_ext1, (Scroll((1, 1, 1)), 0, 0.5)),
 ], ids=["bundle-float", "bundle-str", "scroll", "sheaf", "table", "type_sheaf", "type_info",
-        "divisor", "atom", "table-bounds", "table-chi", "twist-float", "twist-str"])
+        "divisor", "atom", "table-bounds", "table-chi", "twist-float", "twist-str",
+        "omega-p", "pn-twist", "fiber-p", "veronese-twist", "enumerate-h0", "enumerate-rank",
+        "segre-i", "segre-j"])
 def test_integer_inputs_are_checked_not_truncated(make, args):
     # int() would read 1.5 as 1 and "2" as 2, a silent wrong answer
     with pytest.raises(TypeError):
