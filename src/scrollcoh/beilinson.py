@@ -15,6 +15,7 @@ positions of an Ulrich twist form the main diagonal.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import index
 from types import MappingProxyType
 
 from ._value import value
@@ -31,6 +32,7 @@ class NotDiagonalError(ValueError):
 
 def sigma(i: int) -> tuple[int, int]:
     """The unique pair (s1, s2) with s1 + s2 = i and s1 - s2 in {0, 1}."""
+    i = index(i)
     return (i + 1) // 2, i // 2
 
 
@@ -141,7 +143,7 @@ class BeilinsonTable:
         return len(self.shifts)
 
     def entry(self, j: int, q: int) -> int:
-        return self.entries.get((j, q), 0)
+        return self.entries.get((index(j), index(q)), 0)
 
     def off_diagonal(self) -> list[tuple[int, int, int]]:
         return sorted((j, q, v) for (j, q), v in self.entries.items() if q != j)

@@ -164,7 +164,7 @@ class SplitBundle:
     def h(self, i: int) -> int:
         """dim H^i; only i = 0, 1 can be nonzero on the line."""
         # sums of d + 1 over d >= 0 and of -d - 1 over d <= -2, one side each
-        degs = self.degrees
+        degs, i = self.degrees, index(i)
         if i == 0:
             k = bisect_left(degs, 0)
             return sum(islice(degs, k, None)) + len(degs) - k
@@ -183,11 +183,11 @@ class SplitBundle:
 
     def sym(self, k: int) -> SplitBundle:
         """Symmetric power: one summand per k-multiset of summands."""
-        return SplitBundle._normal(_expand(_complete_sums(self.degrees, k)))
+        return SplitBundle._normal(_expand(_complete_sums(self.degrees, index(k))))
 
     def wedge(self, k: int) -> SplitBundle:
         """Exterior power: one summand per k-subset; zero outside 0..rank."""
-        return SplitBundle._normal(_expand(_elementary_sums(self.degrees, k)))
+        return SplitBundle._normal(_expand(_elementary_sums(self.degrees, index(k))))
 
     def hook(self, m: int, p: int) -> SplitBundle:
         """Hook Schur functor for the shape (m, 1^p).
@@ -198,6 +198,7 @@ class SplitBundle:
         Only hook shapes are supported; they are exactly what the
         pushforward calculus of relative differentials consumes.
         """
+        m, p = index(m), index(p)
         if m <= 0:
             raise ValueError("hook shapes need m >= 1")
         if p < 0:
@@ -221,6 +222,6 @@ class SplitBundle:
 def hook_rank(letters: int, m: int, p: int) -> int:
     """Number of hook tableaux of shape (m, 1^p) over an alphabet of the
     given size, independent of any degree data."""
-    if m <= 0 or p < 0:
+    if index(m) <= 0 or index(p) < 0:
         raise ValueError("invalid hook shape")
     return comb(letters + m - 1, m + p) * comb(m + p - 1, p)

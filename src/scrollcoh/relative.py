@@ -26,7 +26,7 @@ def _bott(n: int, p: int, a: int) -> tuple[int, int, int] | None:
     q0 is the one degree where cohomology survives and (m, 1^r) the hook
     shape of what survives there; m = 0 stands for the trace line at a = 0.
     """
-    p, a = index(p), index(a)
+    n, p, a = index(n), index(p), index(a)
     if not 0 <= p <= n:
         return None
     if a >= p + 1:
@@ -65,7 +65,7 @@ def rel_pushforward(scroll: Scroll, p: int, div: DivClass) -> tuple[int | None, 
     return q0, scroll.bundle.hook(m, r).twist(-div.f).dual()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def omega_cohomology(scroll: Scroll, p: int, div: DivClass) -> CohomTable:
     """Exact h^*(S, Omega^p_{S|P^1}(div)) via Leray over the base line."""
     q0, push = rel_pushforward(scroll, p, div)
@@ -102,7 +102,7 @@ def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf
     the resolution is empty, the relative canonical bundle being a line
     bundle already.
     """
-    n = scroll.n
+    n, p = scroll.n, index(p)
     if not 0 <= p <= n:
         raise ValueError("relative differentials need 0 <= p <= n")
     if p == n:
@@ -141,7 +141,7 @@ def chase_bounds(scroll: Scroll, terms, solve: str = "cokernel") -> CohomTable:
 
 def pn_omega_cohomology(n: int, p: int, k: int) -> CohomTable:
     """Bott dimensions h^*(P^n, Omega^p(k)), exact for every twist."""
-    if n < 1:
+    if index(n) < 1:
         raise ValueError("need n >= 1")
     vals = [0] * (n + 1)
     regime = _bott(n, p, k)

@@ -35,6 +35,7 @@ def line_atom(div: DivClass) -> Atom:
 
 def omega_atom(scroll: Scroll, p: int, div: DivClass) -> Atom | None:
     """Omega^p_{S|P^1}(div) in normal form; None stands for the zero sheaf."""
+    p = index(p)
     if p < 0 or p > scroll.n:
         return None
     if p == 0:
@@ -97,7 +98,9 @@ class FormalSheaf:
         return FormalSheaf(tuple((a, k * m) for a, m in self.terms))
 
     def twist(self, div: DivClass) -> "FormalSheaf":
-        return FormalSheaf(tuple((Atom(a.p, a.twist + div), m) for a, m in self.terms))
+        # one divisor added to every atom keeps the atoms distinct and in order
+        return FormalSheaf._normal(tuple((Atom._normal(a.p, a.twist + div), m)
+                                         for a, m in self.terms))
 
 
 ZERO_SHEAF = FormalSheaf()

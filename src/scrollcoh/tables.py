@@ -60,6 +60,7 @@ class CohomTable:
         return len(self.bounds)
 
     def bound(self, i: int) -> Bound:
+        i = index(i)
         return self.bounds[i] if 0 <= i < len(self.bounds) else (0, 0)
 
     def lo(self, i: int) -> int:
@@ -88,7 +89,7 @@ class CohomTable:
         return self._vals
 
     def scaled(self, k: int) -> "CohomTable":
-        if k < 0:
+        if index(k) < 0:
             raise ValueError("cannot scale a table by a negative multiplicity")
         return CohomTable(tuple((k * lo, k * hi) for lo, hi in self.bounds), k * self.chi)
 

@@ -28,7 +28,7 @@ MAX_TYPES = 10_000
 def block_atom(scroll: Scroll, i: int) -> Atom:
     """The i-th building block Omega^i_{S|P^1}((i+1)H - F), line-normalised
     at the ends: O(H - F) for i = 0, O((c-1)F) for i = n."""
-    if not 0 <= i <= scroll.n:
+    if not 0 <= index(i) <= scroll.n:
         raise ValueError("block index out of range")
     atom = omega_atom(scroll, i, DivClass.from_pair(i, i + 1))
     assert atom is not None
@@ -199,7 +199,7 @@ def veronese_table(dim: int, profile: dict | None = None,
     Omega^p(k), evaluated through the Bott dimensions, or an explicit
     profile of {"j", "q", "h"} records.
     """
-    if dim not in (2, 3):
+    if index(dim) not in (2, 3):
         raise ValueError("only the Veronese surface and threefold are supported")
     if (atom is None) == (profile is None):
         raise ValueError("need exactly one of an atom or a profile")

@@ -7,8 +7,10 @@ cohomology table they are read from, the Bott dimensions on projective
 space, chase intervals around the exact values, the classification round
 trip, the arithmetic of dimension tables, their tightening against the
 integer points it must keep, and the split-bundle constructor, cohomology,
-twist and dual against their per-summand formulas, and the bundles the
-calculus builds against the constructor's normal form."""
+twist and dual against their per-summand formulas, the bundles and twisted
+sheaves the calculus builds against the constructor's normal form, and the
+answers to a batch of queries with warm caches against those from cold
+ones."""
 
 from itertools import product
 
@@ -17,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
-from scrollcoh import (Atom, CohomTable, DivClass, Scroll, SplitBundle, chase_bounds,
-                       classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
-                       koszul_resolution, line_atom, omega_atom, omega_cohomology,
-                       intersect, pn_omega_cohomology, type_sheaf)
+from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, Scroll, SplitBundle,
+                       chase_bounds, classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
+                       koszul_resolution, line_atom, line_cohomology, omega_atom,
+                       omega_cohomology, intersect, pn_omega_cohomology, type_sheaf)
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
+from test_cli import _clear_package_caches
 
 # n <= 4 and splitting degrees <= 4
 scrolls = st.lists(st.integers(1, 4), min_size=2, max_size=5).map(Scroll)
@@ -241,3 +244,53 @@ def test_tightening_is_the_projection_on_the_chi_hyperplane(bounds, data):
             intersect(table, table)
     else:
         assert intersect(table, table).bounds == want
+
+
+def _twins(x):
+    # an integer as itself, as the float equal to it, or as the bool equal to it
+    return st.sampled_from([x, float(x)] + ([bool(x)] if x in (0, 1) else []))
+
+
+small_scrolls = st.sampled_from([(1, 1), (1, 2), (1, 1, 1), (1, 1, 2)]).map(Scroll)
+small_bundles = st.lists(st.integers(-3, 3), max_size=3).map(SplitBundle)
+small_divs = st.builds(DivClass, st.integers(-4, 4), st.integers(-3, 3))
+queries = st.one_of(
+    st.tuples(st.just(omega_cohomology), small_scrolls, st.integers(-1, 4).flatmap(_twins), small_divs),
+    st.tuples(st.just(line_cohomology), small_scrolls, small_divs),
+    st.tuples(st.just(SplitBundle.sym), small_bundles, st.integers(-1, 3).flatmap(_twins)),
+    st.tuples(st.just(SplitBundle.wedge), small_bundles, st.integers(-1, 3).flatmap(_twins)),
+    st.tuples(st.just(SplitBundle.hook), small_bundles, st.integers(0, 3).flatmap(_twins),
+              st.integers(-1, 3).flatmap(_twins)),
+    st.tuples(st.just(SplitBundle.h), small_bundles, st.integers(-1, 2).flatmap(_twins)))
+
+
+def _answer(query):
+    call, *args = query
+    try:
+        out = call(*args)
+    except Exception as exc:  # the exception type is the answer
+        return type(exc)
+    return type(out), repr(out)
+
+
+@settings(deadline=None)
+@given(st.lists(queries, max_size=12))
+def test_answers_do_not_depend_on_call_history(batch):
+    # each query answered from cold caches, then the batch in order with the
+    # caches warmed by every query before it: a value or an exception type
+    cold = []
+    for query in batch:
+        _clear_package_caches()
+        cold.append(_answer(query))
+    assert [_answer(query) for query in batch] == cold
+
+
+@given(st.lists(st.tuples(st.builds(Atom, st.integers(0, 3), small_divs), st.integers(-2, 2))),
+       small_divs)
+def test_twisted_sheaves_are_what_the_constructor_makes(terms, div):
+    # twist sets its terms without the constructor's merge, sort and int
+    # reads, so the result must already be the constructor's normal form
+    sheaf = FormalSheaf(terms)
+    twisted = sheaf.twist(div)
+    want = FormalSheaf(tuple((Atom(a.p, a.twist + div), m) for a, m in sheaf.terms))
+    assert twisted == want and hash(twisted) == hash(want) and twisted._key == want._key

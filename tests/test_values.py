@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from scrollcoh import (H, Atom, BeilinsonTable, CohomTable, Collection,
                        CollectionMember, DivClass, DualityReport, FormalSheaf,
                        Scroll, SplitBundle, TypeInfo, UlrichVerdict,
-                       beilinson_table, enumerate_types, fiber_degree, is_ulrich,
-                       omega_cohomology, pn_omega_cohomology, segre_ext1, type_info,
-                       type_sheaf, verify_duality, veronese_table)
+                       beilinson_table, block_atom, enumerate_types, fiber_degree,
+                       hook_rank, is_ulrich, koszul_resolution, omega_atom,
+                       omega_cohomology, pn_omega_cohomology, segre_ext1, sigma,
+                       type_info, type_sheaf, verify_duality, veronese_table)
 from scrollcoh._value import value
 from scrollcoh.beilinson import build_collections
 
@@ -219,14 +220,53 @@ def test_defaults_fill_the_fields_left_out():
     (enumerate_types, (Scroll((1, 2)), 0.5)),
     (segre_ext1, (Scroll((1, 1, 1)), 0.5, 0)),
     (segre_ext1, (Scroll((1, 1, 1)), 0, 0.5)),
+    (SplitBundle((1, 2)).h, (0.5,)),
+    (SplitBundle((1, 2)).h, ("0",)),
+    (SplitBundle((1, 2)).sym, (-1.0,)),
+    (SplitBundle((1, 2)).wedge, (0.0,)),
+    (SplitBundle((1, 2)).hook, (1.0, 5)),
+    (SplitBundle((1, 2)).hook, (1, 5.0)),
+    (koszul_resolution, (Scroll((1, 1, 2)), 2.0, H)),
+    (omega_atom, (Scroll((1, 1, 2)), 0.0, H)),
+    (sigma, (3.0,)),
+    (fiber_degree, (2.5, 1, 1)),
+    (veronese_table(2, atom=(1, 1)).entry, (0.5, 0)),
+    (veronese_table(2, atom=(1, 1)).entry, (0, "0")),
+    (CohomTable.exact((1, 0)).h, (2.5,)),
+    (CohomTable.exact((1, 0)).scaled, (-0.5,)),
+    (hook_rank, (2, -0.5, 0)),
+    (pn_omega_cohomology, (0.5, 1, 1)),
+    (block_atom, (Scroll((1, 2)), 5.5)),
+    (veronese_table, (2.5, None, (1, 1))),
 ], ids=["bundle-float", "bundle-str", "scroll", "sheaf", "table", "type_sheaf", "type_info",
         "divisor", "atom", "table-bounds", "table-chi", "twist-float", "twist-str",
         "omega-p", "pn-twist", "fiber-p", "veronese-twist", "enumerate-h0", "enumerate-rank",
-        "segre-i", "segre-j"])
+        "segre-i", "segre-j", "h-float", "h-str", "sym-k", "wedge-k", "hook-m", "hook-p",
+        "koszul-p", "omega_atom-p", "sigma", "fiber-n", "entry-float", "entry-str",
+        "table-h-index", "table-scaled", "hook_rank-m", "pn-n", "block-i", "veronese-dim"])
 def test_integer_inputs_are_checked_not_truncated(make, args):
     # int() would read 1.5 as 1 and "2" as 2, a silent wrong answer
     with pytest.raises(TypeError):
         make(*args)
+
+
+# each float twin is asked after its integer, whose answer some cache then holds
+@pytest.mark.parametrize("call, good, bad", [
+    (omega_cohomology, (Scroll((1, 1, 1)), 1, H), (Scroll((1, 1, 1)), 1.0, H)),
+    (SplitBundle((1, 2)).sym, (2,), (2.0,)),
+    (SplitBundle((1, 2)).wedge, (1,), (1.0,)),
+    (SplitBundle((1, 2)).hook, (2, 1), (2.0, 1)),
+], ids=["omega-p", "sym-k", "wedge-k", "hook-m"])
+def test_integer_inputs_are_checked_after_their_integer_twin_is_cached(call, good, bad):
+    call(*good)
+    with pytest.raises(TypeError):
+        call(*bad)
+
+
+def test_a_bool_p_is_answered_as_its_int_whichever_comes_first():
+    S, S2 = Scroll((1, 1, 1)), Scroll((1, 2, 2))
+    assert omega_cohomology(S, True, H) == omega_cohomology(S, 1, H)
+    assert omega_cohomology(S2, 1, 2 * H) == omega_cohomology(S2, True, 2 * H)
 
 
 def test_bool_table_entries_are_stored_as_ints():
