@@ -4,8 +4,11 @@ Pairs with a line bundle on either side reduce to a single exact cohomology
 table.  Pairs of genuine relative differentials are bracketed by two
 independent Koszul chases, one resolving the target and one coresolving the
 dual of the source, and the intervals are intersected; nothing indeterminate
-is ever collapsed.  The Segre scroll additionally has a closed form for the
-first Ext group between shifted building blocks.
+is ever collapsed.  The coresolving chase of (s, t) is, bound for bound, the
+resolving chase of (t, s(K_S)) read top-down; it stays a coresolution because
+its pushforward queries overlap those of the resolving chase.  The Segre
+scroll additionally has a closed form for the first Ext group between shifted
+building blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from operator import index
 
 from .relative import chase_bounds, koszul_resolution, omega_cohomology
 from .scroll import Scroll
-from .sheaves import Atom, FormalSheaf, dual_atom
+from .sheaves import Atom, FormalSheaf, dual_atom, omega_atom
 from .tables import CohomTable, intersect
 
 
@@ -25,9 +28,10 @@ def ext_line_vs_atom(scroll: Scroll, source: Atom, shift: int, target: Atom) -> 
     The k-th entry is h^{k+shift} of the target twisted by the source's
     divisor; the table is long enough to absorb the homological shift.
     """
-    if not source.is_line:
+    if 0 < source.p < scroll.n:
         raise ValueError("source must be a (shifted) line bundle")
-    hom = _hom_atom(scroll, Atom(0, -source.twist), target)
+    dual = Atom(0, -source.twist) if source.is_line else dual_atom(scroll, source)
+    hom = _hom_atom(scroll, dual, target)
     coh = omega_cohomology(scroll, hom.p, hom.twist)
     return CohomTable.exact((0,) * -shift + coh.values()[max(shift, 0):])
 
@@ -39,8 +43,13 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     differentials the two Koszul chases run independently and their interval
     tables are intersected; the Hom entry additionally gets the identity
     lower bound 1 when source and target agree.  Entries the chases cannot
-    force stay intervals.
+    force stay intervals.  Both atoms are read as ``omega_atom`` builds them;
+    if either is the zero sheaf the table is zero, with no identity bound.
     """
+    source, target = (a if 0 <= a.p < scroll.n else omega_atom(scroll, a.p, a.twist)
+                      for a in (source, target))
+    if source is None or target is None:
+        return CohomTable.zero(scroll.n + 2)
     if source.is_line or target.is_line:
         hom = _hom_atom(scroll, source, target)
         table = omega_cohomology(scroll, hom.p, hom.twist)
@@ -69,16 +78,16 @@ def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> Cohom
     # Omega^q(D + E) is the Hom into O(D), so each line O(L) of that resolution
     # becomes the exact atom Omega^q(L).
     hom = _hom_atom(scroll, source, Atom(0, target.twist))
-    terms = [FormalSheaf(tuple((Atom(hom.p, atom.twist), mult) for atom, mult in piece.terms))
+    terms = [FormalSheaf._normal(tuple((Atom._normal(hom.p, a.twist), m) for a, m in piece.terms))
              for piece in koszul_resolution(scroll, target.p, hom.twist)]
     return chase_bounds(scroll, terms, solve="cokernel")
 
 
 def _chase_coresolving_source(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     # Dualising the source's Koszul resolution coresolves its dual; tensoring
-    # with the target keeps every term a sum of computable atoms.
-    terms = [FormalSheaf(tuple((_hom_atom(scroll, atom, target), mult)
-                               for atom, mult in piece.terms))
+    # with the target keeps every term computable, its fibre twists reversed.
+    terms = [FormalSheaf._normal(tuple((_hom_atom(scroll, atom, target), mult)
+                                       for atom, mult in reversed(piece.terms)))
              for piece in reversed(koszul_resolution(scroll, source.p, source.twist))]
     return chase_bounds(scroll, terms, solve="kernel")
 

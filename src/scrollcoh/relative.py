@@ -16,7 +16,7 @@ from operator import index
 
 from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
-from .sheaves import FormalSheaf, line_atom
+from .sheaves import Atom, FormalSheaf
 from .tables import CohomTable, solve_quotient, solve_sub
 
 
@@ -107,12 +107,10 @@ def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf
         raise ValueError("relative differentials need 0 <= p <= n")
     if p == n:
         return []
-    terms: list[FormalSheaf] = []
-    for k in range(n + 1, p, -1):
-        atoms = tuple((line_atom(DivClass(div.h - k, div.f + w)), count)
-                      for w, count in _pairs(_elementary_sums(scroll.degrees, k)))
-        terms.append(FormalSheaf(atoms))
-    return terms
+    # _pairs lists each term's fibre degrees distinct and ascending: built normal
+    return [FormalSheaf._normal(tuple((Atom._normal(0, DivClass(div.h - k, div.f + w)), c)
+                                      for w, c in _pairs(_elementary_sums(scroll.degrees, k))))
+            for k in range(n + 1, p, -1)]
 
 
 def chase_bounds(scroll: Scroll, terms, solve: str = "cokernel") -> CohomTable:

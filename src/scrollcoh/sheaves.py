@@ -1,11 +1,12 @@
 """Formal sheaves on a scroll: twisted line bundles and relative differentials.
 
-An atom is either a line bundle O(D) or a twist of the relative differentials
-Omega^p_{S|P^1} with 1 <= p <= n-1; the boundary powers Omega^0 and Omega^n
-are normalised to line bundles at construction (Omega^n is the relative
-canonical bundle).  A formal sheaf is an integer combination of atoms;
-nonnegative combinations are genuine direct sums, signed ones only support
-the additive invariants rank, first Chern class and Euler characteristic.
+An atom is a line bundle O(D) or Omega^p_{S|P^1}(D) with 1 <= p <= n-1: the
+normal form that ``omega_atom`` builds, where Omega^n is O(D + K_rel) and p
+outside 0..n the zero sheaf.  Hom/Ext normalise atoms from outside once, where
+they read them; the engines build normal atoms and never re-sort them.  A
+formal sheaf is an integer combination of atoms; nonnegative combinations are
+genuine direct sums, signed ones only support the additive invariants rank,
+first Chern class and Euler characteristic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .scroll import DivClass, Scroll
 
 @value(order=True)
 class Atom:
-    """A line bundle (p = 0) or Omega^p twisted by a divisor class."""
+    """A line bundle (p = 0) or Omega^p twisted by a divisor class; any integer
+    p is accepted, and read as in ``omega_atom`` (0 <= p < n is normal)."""
 
     p: int
     twist: DivClass
@@ -54,12 +56,12 @@ def dual_atom(scroll: Scroll, atom: Atom) -> Atom:
 
 
 def atom_rank(scroll: Scroll, atom: Atom) -> int:
-    return comb(scroll.n, atom.p)
+    return comb(scroll.n, atom.p) if atom.p >= 0 else 0
 
 
 def atom_c1(scroll: Scroll, atom: Atom) -> DivClass:
-    if atom.is_line:
-        return atom.twist
+    if atom.p <= 0:
+        return atom.twist if atom.is_line else DivClass(0, 0)
     return (comb(scroll.n - 1, atom.p - 1) * scroll.rel_canonical
             + comb(scroll.n, atom.p) * atom.twist)
 

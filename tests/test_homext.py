@@ -3,9 +3,9 @@
 import pytest
 
 from conftest import all_scrolls
-from scrollcoh import (DivClass, Scroll, build_collections, ext_line_vs_atom,
-                       hom_upper_bound, line_atom, omega_atom, omega_cohomology,
-                       segre_ext1)
+from scrollcoh import (Atom, CohomTable, DivClass, H, Scroll, build_collections,
+                       ext_line_vs_atom, hom_upper_bound, line_atom, omega_atom,
+                       omega_cohomology, segre_ext1)
 
 
 def test_top_pairing_is_one_dimensional():
@@ -32,6 +32,21 @@ def test_ext_line_vs_atom_requires_line_source():
     S = Scroll((1, 1, 1, 1))
     with pytest.raises(ValueError):
         ext_line_vs_atom(S, omega_atom(S, 1, DivClass(0, 0)), 0, line_atom(DivClass(0, 0)))
+
+
+def test_boundary_and_zero_atoms_are_read_as_omega_atom_builds_them():
+    # Omega^n is the line bundle O(D + K_rel) and p outside 0..n the zero
+    # sheaf; each of these once raised, in a chase or in the line-source check
+    S = Scroll((1, 1, 2))
+    K, O = Atom(2, DivClass()), DivClass()
+    assert hom_upper_bound(S, K, K).bounds == ((1, 1), (0, 0), (0, 0), (0, 0))
+    assert hom_upper_bound(S, K, Atom(1, H)).h(0) == 35
+    assert hom_upper_bound(S, K, Atom(1, H)) == hom_upper_bound(
+        S, omega_atom(S, 2, O), Atom(1, H))
+    assert hom_upper_bound(S, Atom(1, O), Atom(7, O)) == CohomTable.zero(S.n + 2)
+    assert hom_upper_bound(S, Atom(-1, O), Atom(-1, O)) == CohomTable.zero(S.n + 2)
+    assert ext_line_vs_atom(S, Atom(2, H), 0, Atom(1, H)) == CohomTable.zero(S.n + 2)
+    assert ext_line_vs_atom(S, Atom(7, H), 1, Atom(1, H)).values() == (0,) * (S.n + 1)
 
 
 def test_off_pairing_vanishes():

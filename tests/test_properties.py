@@ -1,8 +1,11 @@
 """Property tests beyond the fixed sweeps: the hook convolution against
 tableaux enumerated one by one, against the dict-based convolution and
 against the closed forms of its rank, total degree and extreme degrees, Serre
-duality of the pushforward engine on generated scrolls and across the two
-line-bundle sides of hom_upper_bound, Ext tables against the shifted
+duality of the pushforward engine on generated scrolls, across the two
+line-bundle sides of hom_upper_bound and across its two Koszul chases, Hom
+and Ext of boundary and zero atoms against their omega_atom twins, the
+Koszul and chase terms against the constructor's normal form, Ext tables
+against the shifted
 cohomology table they are read from, the Bott dimensions on projective
 space, chase intervals around the exact values, the classification round
 trip, the arithmetic of dimension tables, their tightening against the
@@ -15,7 +18,7 @@ ones."""
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
@@ -23,6 +26,7 @@ from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, Scroll, SplitBun
                        chase_bounds, classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, type_sheaf)
+from scrollcoh import homext
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 from test_cli import _clear_package_caches
 
@@ -60,6 +64,83 @@ def test_hom_with_a_line_bundle_is_serre_dual_across_the_two_line_sides(S, data,
     A = omega_atom(S, data.draw(st.integers(0, S.n)), DivClass(c, d))
     dual = hom_upper_bound(S, A, line_atom(L.twist + S.canonical))
     assert hom_upper_bound(S, L, A).values() == tuple(reversed(dual.values()))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=3, max_size=6).map(Scroll), st.data(),
+       twists, twists, twists, twists)
+def test_hom_between_differentials_is_serre_dual_across_the_two_chases(S, data, a, b, c, d):
+    # Ext^k(s, t) = Ext^{n+1-k}(t, s(K))^*: with 1 <= p, q <= n-1 both pairs
+    # are bracketed by the chases, so the bounds must agree read top-down; the
+    # identity bound, which only one side would get, is kept out
+    s = Atom(data.draw(st.integers(1, S.n - 1)), DivClass(a, b))
+    t = Atom(data.draw(st.integers(1, S.n - 1)), DivClass(c, d))
+    s_k = Atom(s.p, s.twist + S.canonical)
+    assume(s != t and t != s_k)
+    table, dual = hom_upper_bound(S, s, t), hom_upper_bound(S, t, s_k)
+    assert dual.bounds == tuple(reversed(table.bounds))
+    assert dual.chi == (-1) ** (S.n + 1) * table.chi
+
+
+def _boundary_p(S):
+    # Omega^n, or a p outside 0..n
+    return st.one_of(st.just(S.n), st.integers(-3, -1), st.integers(S.n + 1, S.n + 3))
+
+
+@settings(deadline=None)
+@given(scrolls, st.data(), twists, twists, twists, twists)
+def test_hom_reads_boundary_and_zero_atoms_as_their_omega_atom_twins(S, data, a, b, c, d):
+    # one side Omega^n or zero, the other anything; the twins are the line
+    # bundle O(D + K_rel) and None, the zero sheaf with the zero table
+    p, q = data.draw(_boundary_p(S)), data.draw(st.integers(-2, S.n + 2))
+    if data.draw(st.booleans()):
+        p, q = q, p
+    source, target = Atom(p, DivClass(a, b)), Atom(q, DivClass(c, d))
+    twins = omega_atom(S, p, source.twist), omega_atom(S, q, target.twist)
+    want = CohomTable.zero(S.n + 2) if None in twins else hom_upper_bound(S, *twins)
+    assert hom_upper_bound(S, source, target) == want
+
+
+@given(scrolls, st.data(), twists, twists, twists, twists)
+def test_ext_reads_boundary_and_zero_atoms_as_their_omega_atom_twins(S, data, a, b, c, d):
+    # a line, Omega^n or zero source against any target, at any shift
+    p = data.draw(st.one_of(st.just(0), _boundary_p(S)))
+    q = data.draw(st.integers(-2, S.n + 2))
+    shift = data.draw(st.integers(-(S.n + 3), S.n + 3))
+    source, target = Atom(p, DivClass(a, b)), Atom(q, DivClass(c, d))
+    twins = omega_atom(S, p, source.twist), omega_atom(S, q, target.twist)
+    if None in twins:
+        # the zero table of the same length as any other at this shift
+        O = line_atom(DivClass())
+        want = ext_line_vs_atom(S, O, shift, O).scaled(0)
+    else:
+        want = ext_line_vs_atom(S, twins[0], shift, twins[1])
+    assert ext_line_vs_atom(S, source, shift, target) == want
+
+
+@settings(deadline=None)
+@example((1, 2, 4), 1, 1, 0, 0, 1, 0)
+@given(st.lists(st.integers(1, 4), min_size=3, max_size=5), st.integers(1, 3),
+       st.integers(1, 3), twists, twists, twists, twists)
+def test_koszul_and_chase_terms_are_what_the_constructor_makes(degrees, p, q, a, b, c, d):
+    # both build their terms without the constructor's merge and sort, so
+    # every term must already be the constructor's normal form
+    S = Scroll(degrees)
+    source = Atom(min(p, S.n - 1), DivClass(a, b))
+    target = Atom(min(q, S.n - 1), DivClass(c, d))
+    seen = list(koszul_resolution(S, source.p, source.twist))
+
+    def recording(scroll, terms, solve="cokernel"):
+        seen.extend(terms)
+        return chase_bounds(scroll, terms, solve)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homext, "chase_bounds", recording)
+        hom_upper_bound(S, source, target)
+    assert len(seen) > len(koszul_resolution(S, source.p, source.twist))
+    for term in seen:
+        want = FormalSheaf(term.terms)
+        assert term == want and hash(term) == hash(want) and term._key == want._key
 
 
 def _tableaux(n, m, r):

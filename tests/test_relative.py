@@ -6,11 +6,11 @@ from math import comb
 import pytest
 
 from conftest import all_scrolls
-from scrollcoh import (CohomTable, DivClass, FormalSheaf, H, IndeterminateError, Scroll,
-                       SplitBundle, ZERO_SHEAF, atom_rank, chase_bounds, dual_atom,
+from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, H, IndeterminateError, Scroll,
+                       SplitBundle, ZERO_SHEAF, atom_c1, atom_rank, chase_bounds, dual_atom,
                        fiber_degree, hook_rank, intersect, koszul_resolution, line_atom,
                        omega_atom, omega_cohomology, pn_omega_cohomology, rel_pushforward,
-                       sheaf_chi, sheaf_cohomology, type_sheaf)
+                       sheaf_c1, sheaf_chi, sheaf_cohomology, sheaf_rank, type_sheaf)
 
 
 def test_pushforward_section_regime():
@@ -288,3 +288,19 @@ def test_atom_normal_forms_at_the_ends():
     D = DivClass(2, -1)
     assert dual_atom(S, line_atom(D)) == line_atom(-D)
     assert omega_atom(S, -1, D) is None and omega_atom(S, S.n + 1, D) is None
+
+
+def test_atoms_outside_0_to_n_are_the_zero_sheaf_in_rank_and_c1():
+    # p < 0 once raised math.comb's error while p > n already gave zero
+    S = Scroll((1, 1, 2))
+    D = DivClass(2, -1)
+    for p in (-3, -1, S.n + 1, S.n + 4):
+        assert atom_rank(S, Atom(p, D)) == 0, p
+        assert atom_c1(S, Atom(p, D)) == DivClass(0, 0), p
+    sheaf = FormalSheaf(((Atom(-1, D), 2), (Atom(1, D), 1)))
+    assert sheaf_rank(S, sheaf) == S.n
+    assert sheaf_c1(S, sheaf) == atom_c1(S, Atom(1, D))
+    # Omega^n has the invariants of the line bundle omega_atom makes of it
+    top = omega_atom(S, S.n, D)
+    assert atom_rank(S, Atom(S.n, D)) == atom_rank(S, top) == 1
+    assert atom_c1(S, Atom(S.n, D)) == atom_c1(S, top) == D + S.rel_canonical
