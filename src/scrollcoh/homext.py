@@ -30,8 +30,7 @@ def ext_line_vs_atom(scroll: Scroll, source: Atom, shift: int, target: Atom) -> 
     """
     if 0 < source.p < scroll.n:
         raise ValueError("source must be a (shifted) line bundle")
-    dual = Atom(0, -source.twist) if source.is_line else dual_atom(scroll, source)
-    hom = _hom_atom(scroll, dual, target)
+    hom = _hom_atom(scroll, dual_atom(scroll, source), target)
     coh = omega_cohomology(scroll, hom.p, hom.twist)
     return CohomTable.exact((0,) * -shift + coh.values()[max(shift, 0):])
 
@@ -46,8 +45,7 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     force stay intervals.  Both atoms are read as ``omega_atom`` builds them;
     if either is the zero sheaf the table is zero, with no identity bound.
     """
-    source, target = (a if 0 <= a.p < scroll.n else omega_atom(scroll, a.p, a.twist)
-                      for a in (source, target))
+    source, target = (omega_atom(scroll, a.p, a.twist) for a in (source, target))
     if source is None or target is None:
         return CohomTable.zero(scroll.n + 2)
     if source.is_line or target.is_line:
