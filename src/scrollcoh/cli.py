@@ -46,10 +46,13 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 # MAX_SUMMANDS too, when a distribution is expanded; the CLI checks it first,
 # in closed form.  blocks, beilinson, classify and verify check the widest
 # hooks they run the same way (_check_scroll), and the chi-oracle suite
-# counts its twists.  enumerate_types keeps MAX_TYPES itself.  Every limit,
-# here and in the library, refuses through p1._check_limit.
+# counts its twists.  enumerate_types keeps MAX_TYPES itself.  A profile is
+# read to at most MAX_PROFILE_CHARS characters, far above the ~60 KB of a
+# full n = 20 profile.  Every limit, here and in the library, refuses through
+# p1._check_limit.
 MAX_CELLS = 2_000_000
 MAX_TWISTS = 10_000
+MAX_PROFILE_CHARS = 1_000_000
 
 # the names of verify.SUITES, so that building the parser imports no suite
 SUITE_NAMES = ("duality", "blocks", "homvanish", "chi-oracle")
@@ -163,10 +166,12 @@ def _divisor_from(args) -> DivClass:
 
 def _load_profile(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError(f"profile {path} is nested too deeply to parse") from None
+        text = handle.read(MAX_PROFILE_CHARS + 1)  # one past the limit, never the whole file
+    _check_limit("the profile length", len(text), "MAX_PROFILE_CHARS", MAX_PROFILE_CHARS)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"profile {path} is nested too deeply to parse") from None
 
 
 def _frac(x) -> str:

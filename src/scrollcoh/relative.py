@@ -99,14 +99,12 @@ def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf
     complex 0 -> W^{n+1}B(-nH) -> ... -> W^{p+1}B(-pH) -> Omega^p(H) -> 0,
     where B is the pullback of the splitting bundle and W^k its k-th exterior
     power; twisting every term by div - H resolves Omega^p(div).  For p = n
-    the resolution is empty, the relative canonical bundle being a line
-    bundle already.
+    the one term is W^{n+1}B(div - (n+1)H) = O(div + K_rel), the relative
+    canonical bundle twisted by div, which is Omega^n(div) itself.
     """
     n, p = scroll.n, index(p)
     if not 0 <= p <= n:
         raise ValueError("relative differentials need 0 <= p <= n")
-    if p == n:
-        return []
     # _pairs lists each term's fibre degrees distinct and ascending: built normal
     return [FormalSheaf._normal(tuple((Atom._normal(0, DivClass(div.h - k, div.f + w)), c)
                                       for w, c in _pairs(_elementary_sums(scroll.degrees, k))))

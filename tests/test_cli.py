@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from scrollcoh import Scroll, cli, hook_rank, p1, ulrich
-from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_SLOTS, MAX_SUMMANDS,
-                           MAX_TWISTS, MAX_TYPES, SUITE_NAMES, _check_hook, _check_scroll, main)
+from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_PROFILE_CHARS, MAX_SLOTS,
+                           MAX_SUMMANDS, MAX_TWISTS, MAX_TYPES, SUITE_NAMES, _check_hook,
+                           _check_scroll, main)
 
 
 def run(capsys, *argv):
@@ -177,6 +178,18 @@ def test_malformed_profile_exits_one(capsys, tmp_path, command, name):
     code, out, err = run(capsys, command, *where, "--profile", str(profile))
     assert code == 1 and not out
     assert err.startswith("error: ") and "profile" in err and "Traceback" not in err
+
+
+def test_profile_length_limit(capsys, tmp_path):
+    # a valid profile padded with spaces: at the limit it runs, and one
+    # character past it exits 1 naming the limit
+    profile = tmp_path / "profile.json"
+    text = json.dumps({"entries": []})
+    for extra, code in ((0, 0), (1, 1)):
+        profile.write_text(text.ljust(MAX_PROFILE_CHARS + extra))
+        got, out, err = run(capsys, "beilinson", "--scroll", "1,2", "--profile", str(profile))
+        assert got == code, err
+        assert ("above the limit MAX_PROFILE_CHARS = " in err) == bool(code)
 
 
 def test_output_is_identical_across_hash_seeds(tmp_path):

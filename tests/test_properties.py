@@ -270,15 +270,19 @@ def test_classify_recovers_the_type(S, data):
 
 
 @settings(deadline=None)
-@given(scrolls, st.data(), twists, twists)
-def test_chase_bounds_contain_the_exact_value(S, data, a, b):
-    # the Koszul resolution of Omega^p(D), p < n, chased to its cokernel
-    p = data.draw(st.integers(0, S.n - 1))
+@example(Scroll((1, 1, 2)), 2, -4, -4)
+@given(scrolls, st.integers(0, 4), twists, twists)
+def test_chase_bounds_contain_the_exact_value(S, p, a, b):
+    # the Koszul resolution of Omega^p(D), 0 <= p <= n, chased to its
+    # cokernel; for p = n it is the one line bundle O(D + K_rel), read exactly
+    assume(p <= S.n)
     div = DivClass(a, b)
     exact = omega_cohomology(S, p, div)
     bounds = chase_bounds(S, koszul_resolution(S, p, div))
     assert bounds.chi == exact.chi
     assert all(bounds.lo(i) <= exact.h(i) <= bounds.hi(i) for i in range(S.n + 2))
+    if p == S.n:
+        assert bounds == exact
 
 
 dims = st.lists(st.integers(0, 50), min_size=1, max_size=6)

@@ -113,7 +113,9 @@ def test_koszul_resolution_shape():
     assert leftmost.terms[0][0].twist.pair() == (S.c - S.n - 1, -S.n - 1)
     # then the second exterior power of the pullback bundle, twisted by -2H
     assert second.terms == ((line_atom(DivClass(-2, 2)), 3),)
-    assert koszul_resolution(S, S.n, DivClass(2, 1)) == []
+    # the top power resolves as itself, the one line bundle O(D + K_rel)
+    D = DivClass(2, 1)
+    assert koszul_resolution(S, S.n, D) == [FormalSheaf.of(line_atom(D + S.rel_canonical))]
     with pytest.raises(ValueError):
         koszul_resolution(S, -1, DivClass(0, 0))
 
