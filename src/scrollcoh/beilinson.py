@@ -3,8 +3,8 @@ Beilinson tables it induces.
 
 The first collection consists of shifted duals of line bundles indexed by a
 staircase of divisor pairs; the second lists the dual sheaves (structure
-sheaf, a fibre twist, paired twists of each relative differential, and two
-fibre-twisted line bundles at the top).  The two are pinned together by the
+sheaf, a fibre twist, and paired twists of Omega^t for t = 1..n, the top
+pair line bundles as Omega^n is).  The two are pinned together by the
 Kronecker pairing Ext^k(E_i, F_j) = delta_{i=j=k}, which is verified rather
 than derived.  Tables are printed with the dual collection labels on top and
 the shifted collection labels on the bottom, columns from the last index
@@ -63,21 +63,19 @@ def build_collections(scroll: Scroll) -> tuple[Collection, Collection]:
     Members of the E side are stored as (bundle, shift), the collection
     object being the shifted dual of the stored bundle; members 0 and 1 are
     the structure sheaf and a negative fibre twist, the rest follow the
-    staircase pairs.  The F side matches it in the Kronecker pairing.
+    staircase pairs.  The F side matches it in the Kronecker pairing; its
+    top pair is the t = n member, Omega^n in normal form as a line bundle.
     """
-    n, c = scroll.n, scroll.c
     e = [CollectionMember(line_atom(DivClass(0, 0)), 0),
          CollectionMember(line_atom(DivClass.from_pair(-1, 0)), 0)]
-    for i in range(2, 2 * n + 2):
+    for i in range(2, 2 * scroll.n + 2):
         u, v = sigma(-i + 1)
         e.append(CollectionMember(line_atom(DivClass.from_pair(u, v)), v))
     f = [CollectionMember(line_atom(DivClass(0, 0))),
          CollectionMember(line_atom(DivClass.from_pair(-1, 0)))]
-    for t in range(1, n):
+    for t in range(1, scroll.n + 1):
         f.append(CollectionMember(omega_atom(scroll, t, DivClass.from_pair(t - 1, t))))
         f.append(CollectionMember(omega_atom(scroll, t, DivClass.from_pair(t - 2, t))))
-    f.append(CollectionMember(line_atom(DivClass.from_pair(c - 2, -1))))
-    f.append(CollectionMember(line_atom(DivClass.from_pair(c - 3, -1))))
     return Collection("E", tuple(e)), Collection("F", tuple(f))
 
 

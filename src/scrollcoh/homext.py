@@ -23,15 +23,16 @@ from .tables import CohomTable, intersect
 
 
 def ext_line_vs_atom(scroll: Scroll, source: Atom, shift: int, target: Atom) -> CohomTable:
-    """Exact Ext^k(source^*[-shift], target) for a line-bundle source.
+    """Exact Ext^k(L^*[-shift], target) for a line-bundle source L.
 
-    The k-th entry is h^{k+shift} of the target twisted by the source's
-    divisor; the table is long enough to absorb the homological shift.
+    L is the source as ``omega_atom`` builds it, and the k-th entry is
+    h^{k+shift}(L x target); the table is long enough to absorb the shift.
     """
     if 0 < source.p < scroll.n:
         raise ValueError("source must be a (shifted) line bundle")
-    hom = _hom_atom(scroll, dual_atom(scroll, source), target)
-    coh = omega_cohomology(scroll, hom.p, hom.twist)
+    line = omega_atom(scroll, source.p, source.twist)
+    coh = (CohomTable.zero(scroll.n + 2) if line is None
+           else omega_cohomology(scroll, target.p, target.twist + line.twist))
     return CohomTable.exact((0,) * -shift + coh.values()[max(shift, 0):])
 
 

@@ -40,8 +40,6 @@ def omega_atom(scroll: Scroll, p: int, div: DivClass) -> Atom | None:
     p = index(p)
     if p < 0 or p > scroll.n:
         return None
-    if p == 0:
-        return Atom(0, div)
     if p == scroll.n:
         return Atom(0, div + scroll.rel_canonical)
     return Atom(p, div)

@@ -1,15 +1,15 @@
 """Exceptional collections, the Kronecker pairing and Beilinson tables."""
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from scrollcoh import (Collection, DivClass, FormalSheaf, H, NotDiagonalError,
-                       Scroll, beilinson_table, beilinson_table_from_profile,
-                       block, build_collections, diagonal_type,
-                       duality_report, omega_atom, sheaf_chi, sigma,
-                       type_sheaf, verify_duality)
+from scrollcoh import (Atom, Collection, DivClass, F, FormalSheaf, H,
+                       NotDiagonalError, Scroll, beilinson_table,
+                       beilinson_table_from_profile, block, block_atom,
+                       build_collections, diagonal_type, duality_report,
+                       omega_atom, sheaf_chi, sigma, type_sheaf, verify_duality)
 
 
 def test_sigma_examples():
@@ -47,6 +47,24 @@ def test_top_dual_member_is_normalised_differential():
     for S in [Scroll((1, 2)), Scroll((1, 1, 1)), Scroll((2, 3, 4, 5))]:
         _, f = build_collections(S)
         assert f[2 * S.n].atom == omega_atom(S, S.n, DivClass.from_pair(S.n - 1, S.n))
+
+
+def test_dual_block_columns_are_the_blocks_twisted_down():
+    # diagonal_type reads a_i from column col(i) of [1, 2, 4, ..., 2n] and
+    # verify.required_hom_pairs takes the same members as twisted blocks; the
+    # member after each even one is its fibre twist down
+    def twisted(atom, div):
+        return Atom(atom.p, atom.twist - div)
+
+    for n in range(1, 6):
+        for degrees in combinations_with_replacement((1, 2, 3), n + 1):
+            S = Scroll(degrees)
+            _, f = build_collections(S)
+            col = [1, *range(2, 2 * n + 1, 2)]
+            for i in range(n + 1):
+                assert f[col[i]].atom == twisted(block_atom(S, i), H), (degrees, i)
+            for t in range(n + 1):
+                assert f[2 * t + 1].atom == twisted(f[2 * t].atom, F), (degrees, t)
 
 
 def test_duality_holds_across_scrolls():

@@ -142,6 +142,27 @@ print(json.dumps([bad, sorted(worker.CACHES), sorted(run.CACHES)]))
     assert names == reported
 
 
+def test_benchmark_clears_every_cache_of_the_package():
+    # a functools cache that worker.CACHES misses survives the per-pass
+    # cache_clear, so every timed pass after the first would run warm
+    code = f"""
+import functools, importlib, json, sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import worker
+found = {{}}
+for name in {SUBMODULES!r}:
+    module = importlib.import_module("scrollcoh." + name)
+    for obj in vars(module).values():
+        if isinstance(obj, functools._lru_cache_wrapper):
+            found[id(obj)] = obj.__module__ + "." + obj.__qualname__
+named = {{id(fn): name for name, fn in worker.CACHES.items()}}
+print(json.dumps([sorted(found[k] for k in found.keys() - named.keys()),
+                  sorted(named[k] for k in named.keys() - found.keys())]))
+"""
+    unnamed, unfound = fresh(code)
+    assert unnamed == [] and unfound == []
+
+
 CONCURRENT = """
 import json, sys, threading
 import scrollcoh as sc
