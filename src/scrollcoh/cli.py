@@ -43,8 +43,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 # own check, p1._check_slots(m, r, spread), refuses more than MAX_SLOTS slots,
 # spread being the largest minus the least splitting degree.  Below
 # MAX_SUMMANDS a slot takes at most three bytes.  The library keeps
-# MAX_SUMMANDS too, when a distribution is expanded; the CLI checks it first,
-# in closed form.  blocks, beilinson, classify and verify check the widest
+# MAX_SUMMANDS too, in closed form before it convolves a split bundle; the
+# CLI checks it first.  blocks, beilinson, classify and verify check the widest
 # hooks they run the same way (_check_scroll), and the chi-oracle suite
 # counts its twists.  enumerate_types keeps MAX_TYPES itself.  A profile is
 # read to at most MAX_PROFILE_CHARS characters, far above the ~60 KB of a
@@ -65,9 +65,10 @@ _DIV_TERM = r"([+-]?)([0-9]*)([HF])"
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit with code 1; code 2 is reserved for indeterminate results
+    # a usage error is invalid input: it raises into main's one except, which
+    # exits 1; code 2 is reserved for indeterminate results
     def error(self, message):
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _int(text: str) -> int:
@@ -98,15 +99,6 @@ def _parse_div(text: str) -> DivClass:
     for sign, digits, basis in re.findall(_DIV_TERM, s):
         coeffs[basis] += int(sign + (digits or "1"))
     return DivClass(coeffs["H"], coeffs["F"])
-
-
-def _one_of(args, what: str, *names: str) -> str:
-    """The one option among ``names`` that was given; ValueError otherwise."""
-    given = [name for name in names if getattr(args, name) is not None]
-    if len(given) != 1:
-        flags = " or ".join(f"--{name}" for name in names)
-        raise ValueError(f"give the {what} exactly once, via {flags}")
-    return given[0]
 
 
 def _check_p(p: int, top: int, name: str) -> None:
@@ -156,7 +148,7 @@ def _check_scroll(scroll: Scroll, command: str) -> None:
 
 
 def _divisor_from(args) -> DivClass:
-    if _one_of(args, "divisor", "div", "pair") == "div":
+    if args.div is not None:
         return _parse_div(args.div)
     pair = _parse_ints(args.pair)
     if len(pair) != 2:
@@ -190,8 +182,6 @@ def _cmd_coh(args, scroll: Scroll):
     """line-coh and omega-coh: a line bundle is the case p = 0."""
     result = {}
     if args.command == "omega-coh":
-        if args.p is None:
-            raise ValueError("omega-coh needs --p")
         _check_p(args.p, scroll.n, "n")
         result["p"] = args.p
     div = _divisor_from(args)
@@ -224,7 +214,7 @@ def _cmd_blocks(args, scroll: Scroll):
 
 def _cmd_beilinson(args, scroll: Scroll):
     _check_scroll(scroll, args.command)
-    if _one_of(args, "input", "type", "profile") == "type":
+    if args.type is not None:
         sheaf = type_sheaf(scroll, _parse_ints(args.type))
         table = beilinson_table(scroll, sheaf.twist(-H))
     else:
@@ -239,7 +229,7 @@ def _type_payload(info) -> dict:
 
 def _cmd_classify(args, scroll: Scroll):
     _check_scroll(scroll, args.command)
-    if _one_of(args, "input", "type", "profile") == "type":
+    if args.type is not None:
         mults = classify(scroll, sheaf=type_sheaf(scroll, _parse_ints(args.type)))
     else:
         mults = classify(scroll, profile=_load_profile(args.profile))
@@ -251,7 +241,7 @@ def _cmd_classify(args, scroll: Scroll):
 
 
 def _cmd_enumerate(args, scroll: Scroll):
-    target = _one_of(args, "target", "rank", "h0")
+    target = "rank" if args.rank is not None else "h0"
     rows = [dict(_type_payload(t), line_blocks=list(t.line_block_positions))
             for t in enumerate_types(scroll, rank=args.rank, h0=args.h0)]
     result = {"target": {target: getattr(args, target)}, "types": rows}
@@ -270,7 +260,7 @@ def _cmd_verify(args, scroll: Scroll):
 
 
 def _cmd_veronese(args, scroll: None):
-    if _one_of(args, "input", "p", "profile") == "p":
+    if args.p is not None:
         _check_p(args.p, args.dim, "dim")
         table = veronese_table(args.dim, atom=(args.p, args.twist))
     else:
@@ -295,18 +285,20 @@ def _build_parser() -> _Parser:
         return p
 
     def divisor(p):
-        p.add_argument("--div", help="divisor as aH+bF, e.g. 2H-F")
-        p.add_argument("--pair", help="divisor in pair form u,v")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--div", help="divisor as aH+bF, e.g. 2H-F")
+        group.add_argument("--pair", help="divisor in pair form u,v")
 
     def type_or_profile(p):
-        p.add_argument("--type", help="block multiplicities a0,...,an")
-        p.add_argument("--profile", help="path to a profile JSON file")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--type", help="block multiplicities a0,...,an")
+        group.add_argument("--profile", help="path to a profile JSON file")
 
     divisor(command("line-coh", _cmd_coh, "cohomology of a line bundle"))
 
     p = command("omega-coh", _cmd_coh, "cohomology of twisted relative differentials")
     divisor(p)
-    p.add_argument("--p", type=_int, help="exterior power index, 0..n")
+    p.add_argument("--p", type=_int, required=True, help="exterior power index, 0..n")
 
     command("blocks", _cmd_blocks, "the building blocks and their invariants")
 
@@ -317,8 +309,9 @@ def _build_parser() -> _Parser:
                             "filtration multiplicities of an Ulrich bundle"))
 
     p = command("enumerate", _cmd_enumerate, "all Ulrich types of a given rank or h0")
-    p.add_argument("--rank", type=_int)
-    p.add_argument("--h0", type=_int)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--rank", type=_int)
+    group.add_argument("--h0", type=_int)
 
     p = command("verify", _cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
@@ -326,9 +319,10 @@ def _build_parser() -> _Parser:
     p = command("veronese", _cmd_veronese, "Beilinson table on P^2 or P^3 with the "
                                            "degree-two polarisation", scroll=False)
     p.add_argument("--dim", type=_int, choices=(2, 3), required=True)
-    p.add_argument("--p", type=_int, help="differential index of the input atom, 0..dim")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--p", type=_int, help="differential index of the input atom, 0..dim")
+    group.add_argument("--profile", help="path to a profile JSON file")
     p.add_argument("--twist", type=_int, default=0, help="twist of the input atom")
-    p.add_argument("--profile", help="path to a profile JSON file")
 
     return parser
 
@@ -346,8 +340,8 @@ def _join_divisors(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_join_divisors(sys.argv[1:] if argv is None else argv))
     try:
+        args = _build_parser().parse_args(_join_divisors(sys.argv[1:] if argv is None else argv))
         text = getattr(args, "scroll", None)
         scroll = None if text is None else Scroll(_parse_ints(text))
         result, md, latex = args.handler(args, scroll)
@@ -359,8 +353,8 @@ def main(argv=None) -> int:
             dump = json.dumps(payload, sort_keys=True, indent=2)
             out = (f"```json\n{dump}\n```" if args.format == "md"
                    else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
-    except (IndeterminateError, ValueError, KeyError, OSError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except (IndeterminateError, ValueError, OSError) as exc:
+        # a usage error (_Parser.error) and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE if isinstance(exc, IndeterminateError) else EXIT_INVALID
     print(out)  # outside the try: a closed stdout is not an invalid input

@@ -24,8 +24,9 @@ MAX_SLOTS caps it, and a wider convolution raises ValueError before it runs.
 A bundle built from outside degrees is normalised in one C-level pass (an
 integer check and sort).  The bundles this module builds itself are already
 sorted integer tuples and skip it: a distribution expands in ascending order,
-a twist by an integer keeps the order and a dual is the negated reverse.  An
-expansion above MAX_SUMMANDS summands raises ValueError before it lists any.
+a twist by an integer keeps the order and a dual is the negated reverse.  A
+power, hook or tensor product whose rank, in closed form, is above
+MAX_SUMMANDS raises ValueError before it is convolved or listed.
 h^0 and h^1 are read by bisecting the sorted degrees at the sign boundary and
 summing one side.
 """
@@ -126,11 +127,8 @@ def _pairs(dist: _Dist) -> Iterator[tuple[int, int]]:
 
 def _expand(dist: _Dist) -> tuple[int, ...]:
     """The degrees of a distribution, ascending, one per summand."""
-    pairs = list(_pairs(dist))
-    rank = sum(count for _, count in pairs)
-    _check_limit("the bundle rank", rank, "MAX_SUMMANDS", MAX_SUMMANDS)
     out: list[int] = []
-    for deg, count in pairs:
+    for deg, count in _pairs(dist):
         out.extend([deg] * count)
     return tuple(out)
 
@@ -183,11 +181,13 @@ class SplitBundle:
 
     def sym(self, k: int) -> SplitBundle:
         """Symmetric power: one summand per k-multiset of summands."""
-        return SplitBundle._normal(_expand(_complete_sums(self.degrees, index(k))))
+        k = index(k)
+        return self._listed(hook_rank(self.rank, k, 0) if k > 0 else 1, _complete_sums, k)
 
     def wedge(self, k: int) -> SplitBundle:
         """Exterior power: one summand per k-subset; zero outside 0..rank."""
-        return SplitBundle._normal(_expand(_elementary_sums(self.degrees, index(k))))
+        k = index(k)
+        return self._listed(hook_rank(self.rank, 1, k - 1) if k > 0 else 1, _elementary_sums, k)
 
     def hook(self, m: int, p: int) -> SplitBundle:
         """Hook Schur functor for the shape (m, 1^p).
@@ -203,7 +203,11 @@ class SplitBundle:
             raise ValueError("hook shapes need m >= 1")
         if p < 0:
             raise ValueError("hook shapes need p >= 0")
-        return SplitBundle._normal(_expand(_hook_sums(self.degrees, m, p)))
+        return self._listed(hook_rank(self.rank, m, p), _hook_sums, m, p)
+
+    def _listed(self, rank: int, sums, *args) -> SplitBundle:
+        _check_limit("the bundle rank", rank, "MAX_SUMMANDS", MAX_SUMMANDS)
+        return SplitBundle._normal(_expand(sums(self.degrees, *args)))
 
     def dual(self) -> SplitBundle:
         return SplitBundle._normal(tuple(map(neg, reversed(self.degrees))))
@@ -212,6 +216,7 @@ class SplitBundle:
         return SplitBundle._normal(tuple(map(index(b).__add__, self.degrees)))
 
     def tensor(self, other: SplitBundle) -> SplitBundle:
+        _check_limit("the bundle rank", self.rank * other.rank, "MAX_SUMMANDS", MAX_SUMMANDS)
         return SplitBundle([a + b for a in self.degrees for b in other.degrees])
 
     def __add__(self, other: SplitBundle) -> SplitBundle:

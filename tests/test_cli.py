@@ -142,12 +142,52 @@ def test_invalid_inputs_exit_one(capsys):
 
 
 def test_usage_errors_exit_one(capsys):
+    assert main(["line-coh"]) == 1  # missing required --scroll
+    assert main(["no-such-command"]) == 1
+
+
+# One argv per kind of usage error: argparse refuses each, and main reports it
+# as invalid input on its one error path.
+@pytest.mark.parametrize("argv", [
+    ["line-coh", "--div", "H"],
+    ["line-coh", "--scroll", "1,2", "--div", "H", "--pair", "1,1"],
+    ["line-coh", "--scroll", "1,2"],
+    ["omega-coh", "--scroll", "1,2", "--div", "H", "--pair", "1,1", "--p", "1"],
+    ["omega-coh", "--scroll", "1,2", "--p", "1"],
+    ["omega-coh", "--scroll", "1,2", "--div", "H"],
+    ["beilinson", "--scroll", "1,2", "--type", "1,1", "--profile", "p.json"],
+    ["beilinson", "--scroll", "1,2"],
+    ["classify", "--scroll", "1,2", "--type", "1,1", "--profile", "p.json"],
+    ["classify", "--scroll", "1,2"],
+    ["enumerate", "--scroll", "1,2", "--rank", "1", "--h0", "3"],
+    ["enumerate", "--scroll", "1,2"],
+    ["veronese", "--dim", "2", "--p", "1", "--profile", "p.json"],
+    ["veronese", "--dim", "2", "--twist", "1"],
+    ["no-such-command"],
+    ["blocks", "--scroll", "1,2", "--no-such-flag"],
+    ["enumerate", "--scroll", "1,2", "--rank", "x"],
+    ["blocks", "--scroll", "1,2", "--format", "html"],
+])
+def test_usage_errors_take_the_one_error_path(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: scrollcoh") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,group", [
+    (["line-coh"], "(--div DIV | --pair PAIR)"),
+    (["omega-coh"], "(--div DIV | --pair PAIR)"),
+    (["beilinson"], "(--type TYPE | --profile PROFILE)"),
+    (["classify"], "(--type TYPE | --profile PROFILE)"),
+    (["enumerate"], "(--rank RANK | --h0 H0)"),
+    (["veronese"], "(--p P | --profile PROFILE)"),
+])
+def test_help_shows_each_exactly_one_group(capsys, monkeypatch, command, group):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, so the group is not wrapped
     with pytest.raises(SystemExit) as exc:
-        main(["line-coh"])  # missing required --scroll
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 1
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert group in capsys.readouterr().out
 
 
 _BAD_PROFILES = {

@@ -109,6 +109,18 @@ def test_identity_lower_bound():
         assert table.lo(0) >= 1, atom
 
 
+def test_identity_outside_the_chased_bounds_is_refused(monkeypatch):
+    # chases that bound Hom(x, x) by zero contradict the identity morphism
+    from scrollcoh import homext
+    S = Scroll((1, 1, 2, 3))
+    x = omega_atom(S, 1, DivClass(1, 1))
+    assert not x.is_line
+    for chase in ("_chase_resolving_target", "_chase_coresolving_source"):
+        monkeypatch.setattr(homext, chase, lambda *args: CohomTable.zero(S.n + 2))
+    with pytest.raises(ValueError, match="identity morphism outside the computed bounds"):
+        hom_upper_bound(S, x, x)
+
+
 def test_independent_chases_agree():
     # the two chases rest on different twist bookkeeping (resolving the
     # target versus coresolving the source's dual); they must pin the same

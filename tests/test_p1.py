@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (brute_hook_degrees, brute_sym_degrees, brute_wedge_degrees,
                       dict_hook_sums)
-from scrollcoh import H, Scroll, SplitBundle, hook_rank
+from scrollcoh import H, Scroll, SplitBundle, hook_rank, p1
 from scrollcoh.p1 import MAX_SLOTS, MAX_SUMMANDS, _hook_sums, _pairs
 
 
@@ -218,3 +218,19 @@ def test_summand_limit_at_its_edge():
     assert SplitBundle((0, 0)).sym(MAX_SUMMANDS - 1).rank == MAX_SUMMANDS
     with pytest.raises(ValueError, match=f"above the limit MAX_SUMMANDS = {MAX_SUMMANDS}"):
         SplitBundle((0, 0)).sym(MAX_SUMMANDS)
+
+
+def test_summand_limit_is_refused_before_the_convolution(monkeypatch):
+    # the closed-form rank is refused before _hook_sums runs: convolving this
+    # hook takes over a second and hundreds of megabytes
+    def no_convolution(*args):
+        raise AssertionError("_hook_sums ran")
+    monkeypatch.setattr(p1, "_hook_sums", no_convolution)
+    rank = hook_rank(31, 3000, 0)
+    with pytest.raises(ValueError, match=f"rank is at least {rank}, above the limit MAX_SUMMANDS"):
+        Scroll((1,) * 15 + (2,) * 16).line_cohomology(3000 * H)
+
+
+def test_tensor_keeps_the_summand_limit():
+    with pytest.raises(ValueError, match="rank is at least 1001000, above the limit MAX_SUMMANDS"):
+        SplitBundle((0,) * 1001).tensor(SplitBundle((0,) * 1000))
