@@ -15,14 +15,14 @@ import json
 import os
 import re
 import sys
-from math import comb, prod
+from math import prod
 
 # Every engine layer is imported here, not in the handlers: perfbench's tracer
 # looks each one up in sys.modules after `from scrollcoh import cli`.  The
 # suites are not a layer, so only the verify command imports scrollcoh.verify.
 from .beilinson import atom_label, beilinson_table, beilinson_table_from_profile
-from .p1 import MAX_SLOTS, MAX_SUMMANDS, _check_limit, _check_slots, hook_rank
-from .relative import _bott, omega_cohomology
+from .p1 import MAX_SUMMANDS, _check_limit, hook_rank
+from .relative import omega_cohomology
 from .scroll import DivClass, H, Scroll
 from .sheaves import deg_slope
 from .tables import IndeterminateError, latex_table, md_table
@@ -35,22 +35,14 @@ EXIT_INDETERMINATE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
-# Size limits, checked before any convolution runs.  A cohomology query
-# reduces to the hook (m, 1^r) of its Bott regime: hook_rank(n + 1, m, r)
-# summands, and at most C(n + m, n + 1) * sum_{j <= r} C(n + 1, j) nonzero
-# counts in the convolution.  The convolution packs each of its m + r + 2
-# degree distributions into one integer with a slot per degree; the library's
-# own check, p1._check_slots(m, r, spread), refuses more than MAX_SLOTS slots,
-# spread being the largest minus the least splitting degree.  Below
-# MAX_SUMMANDS a slot takes at most three bytes.  The library keeps
-# MAX_SUMMANDS too, in closed form before it convolves a split bundle; the
-# CLI checks it first.  blocks, beilinson, classify and verify check the widest
-# hooks they run the same way (_check_scroll), and the chi-oracle suite
-# counts its twists.  enumerate_types keeps MAX_TYPES itself.  A profile is
-# read to at most MAX_PROFILE_CHARS characters, far above the ~60 KB of a
-# full n = 20 profile.  Every limit, here and in the library, refuses through
-# p1._check_limit.
-MAX_CELLS = 2_000_000
+# Size limits.  The library owns every limit on what a convolution costs
+# (p1's MAX_SLOTS, MAX_WORK and MAX_SUMMANDS); its ValueError reaches main's
+# one except.  blocks, beilinson, classify and verify do Theta(n^2) work or
+# more in tables of n + 2 entries before any convolution is large, so
+# _check_scroll turns a large n away first; chi-oracle also counts its twists.
+# enumerate_types keeps MAX_TYPES itself.  A profile is read to at most
+# MAX_PROFILE_CHARS characters, far above the ~60 KB of a full n = 20 profile.
+# Every limit refuses through p1._check_limit.
 MAX_TWISTS = 10_000
 MAX_PROFILE_CHARS = 1_000_000
 
@@ -106,45 +98,22 @@ def _check_p(p: int, top: int, name: str) -> None:
         raise ValueError(f"--p must lie in 0..{name} (0..{top} here), got {p}")
 
 
-def _check_hook(n: int, m: int, r: int, spread: int = 0) -> None:
-    _check_limit("the pushforward rank", hook_rank(n + 1, m, r), "MAX_SUMMANDS", MAX_SUMMANDS)
-    # the terms C(n + m, n + 1) * C(n + 1, j), summed until past the limit
-    cells = term = comb(n + m, n + 1)
-    for j in range(1, r + 1):
-        if cells > MAX_CELLS:
-            break
-        term = term * (n + 2 - j) // j
-        cells += term
-    _check_limit("the convolution size", cells, "MAX_CELLS", MAX_CELLS)
-    _check_slots(m, r, spread)
-
-
-def _spread(scroll: Scroll) -> int:
-    return scroll.degrees[-1] - scroll.degrees[0]
-
-
 def _check_scroll(scroll: Scroll, command: str) -> None:
-    """Check the hooks, in closed form, among which is the widest convolution
-    that ``command`` (or the verify suite of that name) runs on ``scroll``.
+    """Refuse, before any table is built, a scroll too large for ``command``
+    (or the verify suite of that name).
 
-    Each runs wedges of the splitting bundle: the top one, (1, 1^n), has the
-    widest convolution and goes first, so a large n is turned away at once;
-    the middle one has the most summands.  homvanish adds the hooks of its
-    Koszul chases, and chi-oracle those of its twists (m + r = n + 2) and of
-    its line bundles down to -(2n + 3)H, besides its own grid of twists.
+    Every such command builds the middle wedge of the splitting bundle, the
+    one of most summands, whose rank is checked against the library's own
+    MAX_SUMMANDS; chi-oracle also counts its grid of twists.
     """
     n = scroll.n
-    hooks = [(1, n), (1, (n + 1) // 2 - 1)]
-    if command == "homvanish" and n > 1:
-        hooks += [(n - 1, 1)] + [(n, r) for r in range(2, n)]
-    elif command == "chi-oracle":
+    _check_limit("the middle wedge rank", hook_rank(n + 1, 1, (n + 1) // 2 - 1),
+                 "MAX_SUMMANDS", MAX_SUMMANDS)
+    if command == "chi-oracle":
         from .verify import koszul_grid
 
-        hooks += [(n + 3, n)] + [(n + 2 - r, r) for r in range(n + 1)]
         twists = prod(map(len, koszul_grid(scroll)))
         _check_limit("the chi-oracle grid", twists, "MAX_TWISTS", MAX_TWISTS)
-    for m, r in hooks:
-        _check_hook(n, m, r, _spread(scroll))
 
 
 def _divisor_from(args) -> DivClass:
@@ -185,11 +154,7 @@ def _cmd_coh(args, scroll: Scroll):
         _check_p(args.p, scroll.n, "n")
         result["p"] = args.p
     div = _divisor_from(args)
-    p = result.get("p", 0)
-    regime = _bott(scroll.n, p, div.h)
-    if regime is not None and regime[1]:
-        _check_hook(scroll.n, regime[1], regime[2], _spread(scroll))
-    table = omega_cohomology(scroll, p, div)
+    table = omega_cohomology(scroll, result.get("p", 0), div)
     h = list(table.values())
     result.update(div=_div_payload(div), pair=list(div.pair()), h=h, chi=table.chi)
     header = [f"h^{i}" for i in range(len(h))] + ["chi"]

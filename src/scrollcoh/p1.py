@@ -16,10 +16,13 @@ the count of degree low + i in bytes [i*w, (i+1)*w) of packed, that is, its
 generating polynomial evaluated at 2^(8w).  Shifting a distribution by a
 degree is then a bit shift, adding two is one addition and convolving two is
 one multiplication, all at C speed.  The width w comes in closed form from
-the hook's total hook_rank(n, m, p), which bounds every count it can hold.
-The packed integer spans the degree range, (m + p) times the spread of the
-letters, so its size grows with that spread as well as with the counts;
-MAX_SLOTS caps it, and a wider convolution raises ValueError before it runs.
+the hook's total hook_rank(n, m, p), which bounds every count of the output.
+This module owns every limit on what a convolution costs, checked in closed
+form before anything is allocated: MAX_SLOTS caps the slots of its m + p + 2
+packed integers, which span (m + p) times the spread of the letters, and
+MAX_WORK caps the bytes of the largest of them, whose intermediate counts
+can pass 2^(8w), times the letters * (m + p) shift-adds.  Either raises
+ValueError naming the limit.
 
 A bundle built from outside degrees is normalised in one C-level pass (an
 integer check and sort).  The bundles this module builds itself are already
@@ -49,7 +52,12 @@ _Dist = tuple[int, int, int]
 _EMPTY: _Dist = (0, 1, 0)
 _UNIT: _Dist = (0, 1, 1)
 
+# Measured on Python 3.11, 2 vCPUs: at the edges the top wedge on 2000 letters
+# (work 10^9) runs 0.3 s in 14 MB max RSS and Sym^2 of O(0) + O(1249999) 0.4 s
+# in 23 MB.  Unlisted hooks of millions of row letters that both admit run
+# 3.5 s in up to 550 MB; MAX_SUMMANDS keeps listed ones far below.
 MAX_SLOTS = 10_000_000
+MAX_WORK = 1_000_000_000
 MAX_SUMMANDS = 1_000_000
 
 
@@ -59,11 +67,28 @@ def _check_limit(what: str, count: int, name: str, limit: int) -> None:
         raise ValueError(f"{what} is at least {count}, above the limit {name} = {limit}")
 
 
-def _check_slots(m: int, p: int, spread: int) -> None:
-    # the hook (m, 1^p) packs m + p + 2 distributions (its rows, its columns
-    # and the output), each over at most (m + p) * spread + 1 degrees
+def _check_slots(letters: int, m: int, p: int, spread: int) -> int:
+    """Refuse the hook (m, 1^p) on these letters before it is convolved, and
+    return the byte width w of its slots."""
+    # it packs m + p + 2 distributions (its rows, its columns and the output),
+    # each over at most (m + p) * spread + 1 degrees
     _check_limit("the packed convolution size", (m + p + 2) * ((m + p) * spread + 1),
                  "MAX_SLOTS", MAX_SLOTS)
+    # A packed distribution is its polynomial evaluated at x = 2^(8w), so the
+    # shifts, sums and corner products are exact whatever the counts on the
+    # way.  Only the output is read back slot by slot, which needs each of its
+    # counts below 2^(8w); none exceeds the total, hook_rank(letters, m, p).
+    rank = hook_rank(letters, m, p)
+    w = (rank.bit_length() + 7) // 8
+    # No count decreases, so a packed integer is largest at the end: below its
+    # total count times 2^(8w) to the power of its highest slot.  The totals are
+    # the rank for the output, C(letters, j) for j <= p column letters and, at
+    # most the rank, C(letters + k - 1, k) for k < m row letters: a corner at
+    # the least letter with fixed column letters takes any row.
+    total = max(rank, comb(letters, min(p, letters // 2)))
+    size = (8 * w * (m + p) * spread + total.bit_length()) // 8 + 1
+    _check_limit("the convolution work", letters * (m + p) * size, "MAX_WORK", MAX_WORK)
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -80,12 +105,7 @@ def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
     if p >= n:
         return _EMPTY
     lo = min(degs)
-    _check_slots(m, p, max(degs) - lo)
-    # A packed distribution is its polynomial evaluated at x = 2^(8w), so the
-    # shifts, sums and corner products are exact whatever the counts on the
-    # way.  Only the output is read back slot by slot, which needs each of its
-    # counts below 2^(8w); none exceeds the total, hook_rank(n, m, p).
-    w = (hook_rank(n, m, p).bit_length() + 7) // 8
+    w = _check_slots(n, m, p, max(degs) - lo)
     rows = [1] + [0] * (m - 1)
     cols = [1] + [0] * p
     out = 0

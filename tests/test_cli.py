@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from scrollcoh import Scroll, cli, hook_rank, p1, ulrich
-from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_CELLS, MAX_PROFILE_CHARS, MAX_SLOTS,
-                           MAX_SUMMANDS, MAX_TWISTS, MAX_TYPES, SUITE_NAMES, _check_hook,
+from scrollcoh import H, Scroll, cli, ulrich
+from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_PROFILE_CHARS, MAX_TWISTS, MAX_TYPES,
                            _check_scroll, main)
+from scrollcoh.p1 import MAX_SLOTS
+from scrollcoh.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -378,16 +379,6 @@ def test_pair_needs_two_values(capsys, pair):
     assert err.startswith("error: ") and "u,v" in err
 
 
-def run_exit(capsys, *argv):
-    """Like run, with argparse's SystemExit read as the exit code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
 # Integers are [+-]?[0-9]+: the underscores and non-ASCII digits that int()
 # accepts are refused in every integer option and list item, and in --div.
 @pytest.mark.parametrize("argv", [
@@ -405,7 +396,7 @@ def run_exit(capsys, *argv):
     ["veronese", "--dim", "2", "--p", "1", "--twist", "1_0"],
 ])
 def test_integers_are_ascii_digits(capsys, argv):
-    code, out, err = run_exit(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 1 and not out
     assert err and "Traceback" not in err
 
@@ -419,31 +410,50 @@ def test_spaces_around_integers_are_allowed(capsys):
         run_json(capsys, "classify", "--scroll", "1,2", "--type", "1,1")
 
 
-# Each input is refused from closed-form sizes before any convolution runs;
-# unchecked they end in an OverflowError or MemoryError traceback, or run for
-# minutes.
+def ones(k):
+    return ",".join(["1"] * k)
+
+
+def first_block(k):
+    return ",".join(["1"] + ["0"] * (k - 1))
+
+
+def run_refused(capsys, argv, limit):
+    """Run argv, which must exit 1 within a second naming the limit."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error: ") and f"above the limit {limit} = " in err
+
+
+# Each input is refused by the library from closed-form sizes before it
+# convolves; unchecked they end in an OverflowError or MemoryError traceback,
+# or run for minutes.  The top wedge on 8001 letters has rank 1 but convolved
+# for 9.5 s.
 @pytest.mark.parametrize("argv,limit", [
     (["line-coh", "--scroll", "1,2", "--div", "99999999999999999999H"], "MAX_SUMMANDS"),
-    (["line-coh", "--scroll", "1,2", "--div", "100000H"], "MAX_CELLS"),
+    (["line-coh", "--scroll", "1,2", "--div", "100000H"], "MAX_SLOTS"),
     (["line-coh", "--scroll", "1,1,1,1,1", "--div", "200H"], "MAX_SUMMANDS"),
     (["omega-coh", "--scroll", "1,2,3", "--p", "1", "--div=-99999999999999999999H+F"], "MAX_SUMMANDS"),
-    (["line-coh", "--scroll", "1,2,3,4,5", "--div", "50H"], "MAX_CELLS"),
+    (["omega-coh", "--scroll", ones(8001), "--p", "8000", "--div", "8001H"], "MAX_WORK"),
     (["enumerate", "--scroll", "1,1,1,1,1,1", "--rank", "200"], "MAX_TYPES"),
     (["enumerate", "--scroll", "1,2", "--rank", "99999999999999999999"], "MAX_TYPES"),
     (["enumerate", "--scroll", "1,1", "--h0", "20002"], "MAX_TYPES"),
     (["enumerate", "--scroll", ",".join(["1"] * 2001), "--rank", "1999"], "MAX_SUMMANDS"),
 ])
 def test_size_limits_exit_one(capsys, argv, limit):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and not out
-    assert err.startswith("error: ") and f"above the limit {limit} = " in err
+    run_refused(capsys, argv, limit)
 
 
 def test_sizes_at_the_limits_run(capsys):
     types = run_json(capsys, "enumerate", "--scroll", "1,1", "--rank", str(MAX_TYPES - 1))
     assert len(types["result"]["types"]) == MAX_TYPES
-    h = run_json(capsys, "line-coh", "--scroll", "1,2,3,4,5", "--div", "40H")["result"]["h"]
-    assert h[0] == 16425871  # 40H sits below MAX_CELLS on five summands
+    scroll = Scroll((1, 2, 3, 4, 5))
+    h = {a: run_json(capsys, "line-coh", "--scroll", "1,2,3,4,5", "--div", f"{a}H")["result"]["h"]
+         for a in (40, 50)}
+    assert h == {a: list(scroll.line_cohomology(a * H).values()) for a in (40, 50)}
+    assert h[40][0] == 16425871
 
 
 def test_enumerate_on_a_thousand_and_one_summands(capsys):
@@ -510,60 +520,48 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == b""
 
 
-def ones(k):
-    return ",".join(["1"] * k)
-
-
-def first_block(k):
-    return ",".join(["1"] + ["0"] * (k - 1))
-
-
-# blocks, beilinson, classify and the duality and blocks suites reach the top
-# wedge (1, 1^n), whose 2^(n+1) - 1 cells pass MAX_CELLS from n = 20 (21
-# summands) on; homvanish passes it at n = 8 and chi-oracle at n = 7.  The
-# chi-oracle grid n(2n+5)(2c+5) is 10003 on S(1, 711).  All are refused before
-# any convolution, the 5001-summand scroll included.
+# blocks, beilinson, classify and verify build the middle wedge of the
+# splitting bundle, C(n + 1, (n + 1) // 2) summands: 705432 at n = 21 and
+# 1352078, above MAX_SUMMANDS, at n = 22, where the CLI refuses before any
+# table is built.  homvanish and chi-oracle reach the library's MAX_SUMMANDS
+# from n = 9, homvanish at once and chi-oracle at once only from n = 11.  The
+# chi-oracle grid n(2n+5)(2c+5) is 10003 on S(1, 711).
 @pytest.mark.parametrize("argv,limit", [
-    (["blocks", "--scroll", ones(21)], "MAX_CELLS"),
-    (["blocks", "--scroll", ones(5001)], "MAX_CELLS"),
-    (["beilinson", "--scroll", ones(21), "--type", first_block(21)], "MAX_CELLS"),
-    (["beilinson", "--scroll", ones(21), "--profile", "missing.json"], "MAX_CELLS"),
-    (["classify", "--scroll", ones(21), "--type", first_block(21)], "MAX_CELLS"),
-    (["verify", "--suite", "duality", "--scroll", ones(21)], "MAX_CELLS"),
-    (["verify", "--suite", "blocks", "--scroll", ones(21)], "MAX_CELLS"),
-    (["verify", "--suite", "homvanish", "--scroll", ones(9)], "MAX_CELLS"),
-    (["verify", "--suite", "chi-oracle", "--scroll", ones(8)], "MAX_CELLS"),
+    (["blocks", "--scroll", ones(23)], "MAX_SUMMANDS"),
+    (["blocks", "--scroll", ones(5001)], "MAX_SUMMANDS"),
+    (["beilinson", "--scroll", ones(23), "--type", first_block(23)], "MAX_SUMMANDS"),
+    (["beilinson", "--scroll", ones(23), "--profile", "missing.json"], "MAX_SUMMANDS"),
+    (["classify", "--scroll", ones(23), "--type", first_block(23)], "MAX_SUMMANDS"),
+    (["verify", "--suite", "duality", "--scroll", ones(23)], "MAX_SUMMANDS"),
+    (["verify", "--suite", "blocks", "--scroll", ones(23)], "MAX_SUMMANDS"),
+    (["verify", "--suite", "homvanish", "--scroll", ones(10)], "MAX_SUMMANDS"),
+    (["verify", "--suite", "chi-oracle", "--scroll", ones(12)], "MAX_SUMMANDS"),
     (["verify", "--suite", "chi-oracle", "--scroll", "1,711"], "MAX_TWISTS"),
 ])
 def test_scroll_size_limits_exit_one(capsys, argv, limit):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and not out
-    assert err.startswith("error: ") and f"above the limit {limit} = " in err
+    run_refused(capsys, argv, limit)
 
 
 def test_scroll_sizes_at_the_limits_run(capsys):
-    for argv in (["blocks", "--scroll", ones(20)],
-                 ["beilinson", "--scroll", ones(20), "--type", first_block(20)],
-                 ["classify", "--scroll", ones(20), "--type", first_block(20)],
-                 ["verify", "--suite", "duality", "--scroll", ones(20)]):
-        assert run(capsys, *argv)[0] == 0, argv
-    # the slower suites only pass their checks here
-    for degrees, suite in (((1,) * 8, "homvanish"), ((1,) * 7, "chi-oracle"),
-                           ((1, 710), "chi-oracle")):
-        _check_scroll(Scroll(degrees), suite)
+    n = 21
+    scroll = Scroll((1,) * (n + 1))
+    rows = run_json(capsys, "blocks", "--scroll", ones(n + 1))["result"]["blocks"]
+    assert [r["rank"] for r in rows] == [comb(n, i) for i in range(n + 1)]
+    assert all(r["ulrich"] for r in rows)
+    mults = run_json(capsys, "classify", "--scroll", ones(n + 1),
+                     "--type", first_block(n + 1))["result"]["type"]
+    assert mults == list(ulrich.classify(scroll, sheaf=ulrich.type_sheaf(scroll, mults)))
+    assert run(capsys, "beilinson", "--scroll", ones(n + 1), "--type", first_block(n + 1))[0] == 0
+    for degrees, suite in (((1,) * (n + 1), "duality"), ((1,) * (n + 1), "blocks"),
+                           ((1,) * 9, "homvanish"), ((1,) * 8, "chi-oracle")):
+        result = run_json(capsys, "verify", "--suite", suite, "--scroll",
+                          ",".join(map(str, degrees)))["result"]
+        passed, details = SUITES[suite](Scroll(degrees))
+        assert result["passed"] and passed
+        assert result["details"] == json.loads(json.dumps(details))
+    # S(1, 710) passes the grid check; its chi-oracle run takes seconds
+    _check_scroll(Scroll((1, 710)), "chi-oracle")
     assert 7 * (2 * 711 + 5) <= MAX_TWISTS < 7 * (2 * 712 + 5)
-
-
-def test_hook_limits_at_their_edges():
-    # (1, 1^0) on n + 1 letters has n + 1 summands in one cell, and the top
-    # wedge (1, 1^n) one summand in 2^(n+1) - 1 cells
-    _check_hook(MAX_SUMMANDS - 1, 1, 0)
-    with pytest.raises(ValueError, match="MAX_SUMMANDS"):
-        _check_hook(MAX_SUMMANDS, 1, 0)
-    _check_hook(19, 1, 19)
-    with pytest.raises(ValueError, match="MAX_CELLS"):
-        _check_hook(20, 1, 20)
-    assert 2 ** 20 - 1 <= MAX_CELLS < 2 ** 21 - 1
 
 
 # The packed convolution spans (m + r) * spread + 1 degrees per distribution,
@@ -583,10 +581,6 @@ def test_wide_scrolls_exit_one(capsys, argv):
 
 
 def test_slot_limit_at_its_edge(capsys):
-    # (2) on two letters holds 4 * (2 * spread + 1) slots
-    _check_hook(1, 2, 0, spread=1_249_999)
-    with pytest.raises(ValueError, match="MAX_SLOTS"):
-        _check_hook(1, 2, 0, spread=1_250_000)
     # Sym^2 of O(1) + O(100001) has the degrees 2, 100002 and 200002
     h = run_json(capsys, "line-coh", "--scroll", "1,100001", "--div", "2H")["result"]["h"]
     assert h == [3 + 100003 + 200003, 0, 0]
@@ -598,43 +592,3 @@ def _clear_package_caches():
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
-
-
-def _hook_sizes(letters, m, p, spread):
-    # rank, cells and packed slots of the hook (m, 1^p), as _check_hook counts them
-    cells = comb(letters + m - 1, letters) * sum(comb(letters, j) for j in range(p + 1))
-    return hook_rank(letters, m, p), cells, (m + p + 2) * ((m + p) * spread + 1)
-
-
-# _check_scroll lists by hand the hooks each command convolves; every hook the
-# engines then convolve must be no larger, in rank, cells or slots, than the
-# largest hook the command was checked against, or the limits let it through.
-@pytest.mark.parametrize("degrees", [(1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3), (2, 2, 3, 4),
-                                     (1, 1, 1, 2, 5), (1, 1, 1, 1, 1, 1)])
-def test_checked_hooks_cover_the_convolved_ones(monkeypatch, capsys, degrees):
-    scroll = ",".join(map(str, degrees))
-    ones = ",".join(["1"] * len(degrees))
-    runs = [["blocks"], ["beilinson", "--type", ones], ["classify", "--type", ones]]
-    runs += [["verify", "--suite", suite] for suite in SUITE_NAMES]
-    hook_sums, check_hook = p1._hook_sums, cli._check_hook
-    for argv in runs:
-        convolved, checked = set(), set()
-
-        def recording_hook_sums(degs, m, p):
-            if p < len(degs):  # p >= len(degs) is the zero bundle, no convolution
-                convolved.add(_hook_sizes(len(degs), m, p, max(degs) - min(degs)))
-            return hook_sums(degs, m, p)
-
-        def recording_check_hook(n, m, r, spread=0):
-            checked.add(_hook_sizes(n + 1, m, r, spread))
-            return check_hook(n, m, r, spread)
-
-        monkeypatch.setattr(p1, "_hook_sums", recording_hook_sums)
-        monkeypatch.setattr(cli, "_check_hook", recording_check_hook)
-        _clear_package_caches()
-        code, _, err = run(capsys, argv[0], "--scroll", scroll, *argv[1:])
-        assert code == 0, (argv, err)
-        assert convolved and checked, argv
-        largest = [max(sizes) for sizes in zip(*checked)]
-        for sizes in convolved:
-            assert all(s <= top for s, top in zip(sizes, largest)), (argv, sizes, largest)

@@ -104,10 +104,7 @@ def profiles(tmp_path_factory):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (brute_hook_degrees, brute_sym_degrees, brute_wedge_degrees,
                       dict_hook_sums)
-from scrollcoh import H, Scroll, SplitBundle, hook_rank, p1
-from scrollcoh.p1 import MAX_SLOTS, MAX_SUMMANDS, _hook_sums, _pairs
+from scrollcoh import H, DivClass, Scroll, SplitBundle, hook_rank, omega_cohomology, p1
+from scrollcoh.p1 import MAX_SLOTS, MAX_SUMMANDS, MAX_WORK, _hook_sums, _pairs
 
 
 def test_cohomology_of_single_summands():
@@ -205,16 +205,37 @@ def test_wide_spreads_are_refused_at_once(call):
 
 
 def test_slot_limit_at_its_edge():
-    # Sym^2 on two letters holds 4 * (2 * spread + 1) slots, the CLI's count
+    # Sym^2 on two letters holds 4 * (2 * spread + 1) slots
     low, w, packed = _hook_sums((0, 1_249_999), 2, 0)
     assert (low, w) == (0, 1) and packed.bit_length() == 8 * 2 * 1_249_999 + 1
     with pytest.raises(ValueError, match="MAX_SLOTS"):
         _hook_sums((0, 1_250_000), 2, 0)
 
 
+# The top wedge has one summand, but its columns count up to C(k, k/2) on the
+# way: 9.5 s on 8001 letters before the library checked what a convolution
+# costs.
+@pytest.mark.parametrize("call", [
+    lambda: SplitBundle((0,) * 2001).wedge(2001),
+    lambda: omega_cohomology(Scroll((1,) * 8001), 8000, DivClass(8001, 0)),
+], ids=["wedge", "omega_cohomology"])
+def test_costly_convolutions_are_refused_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"above the limit MAX_WORK = {MAX_WORK}"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_work_limit_at_its_edge():
+    # 2000 letters * 2000 shift-adds * 250 bytes, C(2000, 1000) having 1996 bits
+    assert SplitBundle((0,) * 2000).wedge(2000) == SplitBundle((0,))
+    with pytest.raises(ValueError, match="MAX_WORK"):
+        SplitBundle((0,) * 2001).wedge(2001)
+
+
 def test_summand_limit_at_its_edge():
-    # Sym^k on two letters has k + 1 summands; the library keeps the CLI's
-    # MAX_SUMMANDS where a distribution is expanded
+    # Sym^k on two letters has k + 1 summands; MAX_SUMMANDS is kept where a
+    # distribution is expanded
     assert SplitBundle((0, 0)).sym(MAX_SUMMANDS - 1).rank == MAX_SUMMANDS
     with pytest.raises(ValueError, match=f"above the limit MAX_SUMMANDS = {MAX_SUMMANDS}"):
         SplitBundle((0, 0)).sym(MAX_SUMMANDS)

@@ -4,7 +4,8 @@ against the closed forms of its rank, total degree and extreme degrees, Serre
 duality of the pushforward engine on generated scrolls, across the two
 line-bundle sides of hom_upper_bound and across its two Koszul chases, Hom
 and Ext of boundary and zero atoms against their omega_atom twins, the
-Koszul and chase terms against the constructor's normal form, Ext tables
+Koszul and chase terms against the constructor's normal form, the
+checked size of a packed convolution against the integers it holds, Ext tables
 against the shifted
 cohomology table they are read from, the Bott dimensions on projective
 space, chase intervals around the exact values, the classification round
@@ -16,6 +17,7 @@ answers to a batch of queries with warm caches against those from cold
 ones."""
 
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +28,7 @@ from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, Scroll, SplitBun
                        chase_bounds, classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, type_sheaf)
-from scrollcoh import homext
+from scrollcoh import homext, p1
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 from test_cli import _clear_package_caches
 
@@ -226,6 +228,33 @@ def test_hook_sums_count_tableaux(degs, m, data):
 def test_packed_hook_sums_match_the_dict_convolution(degs, m, data):
     p = data.draw(st.integers(0, len(degs)))
     assert tuple(_pairs(_hook_sums(degs, m, p))) == dict_hook_sums(degs, m, p)
+
+
+# letters with repeated degrees, all equal among them, so that the row and
+# column counts pass the output's slot width
+@given(st.one_of(st.lists(st.integers(-3, 3), min_size=1, max_size=16).map(tuple),
+                 st.tuples(st.integers(-3, 3), st.integers(1, 16)).map(lambda t: (t[0],) * t[1])),
+       st.integers(1, 4), st.integers(0, 15))
+@example((0,) * 11, 1, 10)  # the top wedge, of rank 1, with 462 column sets of 5
+def test_checked_size_bounds_every_packed_integer(degs, m, p):
+    # the work MAX_WORK checks is letters * (m + p) * size, size bytes bounding
+    # every packed integer of _hook_sums; none decreases, so the final rows
+    # (Sym^k, k < m), columns (Wedge^j, j <= p) and output are the largest
+    p = min(p, len(degs) - 1)
+    checked = {}
+    with mock.patch.object(p1, "_check_limit",
+                           lambda what, count, name, limit: checked.setdefault(name, count)):
+        w = p1._check_slots(len(degs), m, p, max(degs) - min(degs))
+    size = checked["MAX_WORK"] // (len(degs) * (m + p))
+    low, width, out = _hook_sums(degs, m, p)
+    assert width == w and low == (m + p) * min(degs)
+
+    def packed(k, pairs):
+        return sum(c << 8 * w * (d - k * min(degs)) for d, c in pairs)
+
+    held = [packed(k, dict_hook_sums(degs, k, 0)) for k in range(1, m)]
+    held += [packed(j, dict_hook_sums(degs, 1, j - 1)) for j in range(1, p + 1)]
+    assert max(x.bit_length() for x in held + [out]) <= 8 * size
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6).map(lambda d: tuple(sorted(d))),
