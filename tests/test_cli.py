@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from scrollcoh import H, Scroll, cli, ulrich
+from scrollcoh import H, Scroll, cli, p1, ulrich
 from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_PROFILE_CHARS, MAX_TWISTS, MAX_TYPES,
                            _check_scroll, main)
 from scrollcoh.p1 import MAX_SLOTS
@@ -592,3 +592,38 @@ def _clear_package_caches():
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+# The library refuses a hook from the sizes _check_slots forms before it is
+# convolved; every hook the engines convolve for a command must have passed
+# that check on its own letters, m, p and spread, or the limits let it through.
+@pytest.mark.parametrize("degrees", [(1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3), (2, 2, 3, 4),
+                                     (1, 1, 1, 2, 5), (1, 1, 1, 1, 1, 1)])
+def test_checked_hooks_cover_the_convolved_ones(monkeypatch, capsys, degrees):
+    scroll = ",".join(map(str, degrees))
+    ones = ",".join(["1"] * len(degrees))
+    runs = [["blocks"], ["beilinson", "--type", ones], ["classify", "--type", ones],
+            ["line-coh", "--div", "3H-F"], ["omega-coh", "--p", "1", "--div", "2H"]]
+    runs += [["verify", "--suite", suite] for suite in SUITES]
+    hook_sums, check_slots = p1._hook_sums, p1._check_slots
+    for argv in runs:
+        convolved, checked = set(), set()
+
+        def recording_hook_sums(degs, m, p):
+            if p < len(degs):  # p >= len(degs) is the zero bundle, no convolution
+                convolved.add((len(degs), m, p, max(degs) - min(degs)))
+            return hook_sums(degs, m, p)
+
+        def recording_check_slots(letters, m, p, spread):
+            checked.add((letters, m, p, spread))
+            return check_slots(letters, m, p, spread)
+
+        monkeypatch.setattr(p1, "_hook_sums", recording_hook_sums)
+        monkeypatch.setattr(p1, "_check_slots", recording_check_slots)
+        _clear_package_caches()
+        hook_sums.cache_clear()
+        code, _, err = run(capsys, argv[0], "--scroll", scroll, *argv[1:])
+        assert code == 0, (argv, err)
+        assert convolved, argv
+        assert convolved <= checked, (argv, convolved - checked)
+    _clear_package_caches()
