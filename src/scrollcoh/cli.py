@@ -11,6 +11,7 @@ required, 3 a verification suite failure, 141 a stdout closed early.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -329,6 +330,11 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    # The start-up heap (the interpreter's, argparse's, json's and the
+    # package's objects) lives until exit, so move it out of every collection,
+    # the full ones at exit included.  Only here: main() is also called many
+    # times in one process, where each call's garbage must stay collectable.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

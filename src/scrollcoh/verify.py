@@ -11,7 +11,8 @@ from itertools import permutations, product
 
 from .beilinson import build_collections, verify_duality
 from .homext import hom_upper_bound
-from .relative import koszul_resolution, omega_cohomology, sheaf_chi
+from .p1 import MAX_SUMMANDS, _check_limit, hook_rank
+from .relative import _bott, koszul_resolution, omega_cohomology, sheaf_chi
 from .scroll import DivClass, Scroll
 from .sheaves import omega_atom
 from .ulrich import block, is_ulrich
@@ -64,8 +65,21 @@ def koszul_grid(scroll: Scroll) -> tuple[range, range, range]:
     return range(n), range(-n - 2, n + 3), range(-c - 2, c + 3)
 
 
+def _largest_listed_hook(scroll: Scroll) -> int:
+    """The largest rank of a bundle chi_oracle lists, that of the pushforward
+    of Omega^p(aH) at some grid point: the lines O((a - k)H) its Koszul
+    resolutions hold list no more, and fibre twists leave every rank alone."""
+    n = scroll.n
+    ps, twists, _ = koszul_grid(scroll)
+    regimes = filter(None, (_bott(n, p, a) for p in ps for a in twists))
+    return max((hook_rank(n + 1, m, r) for _, m, r in regimes if m), default=1)
+
+
 def chi_oracle(scroll: Scroll):
-    # the Koszul sums over koszul_grid; fibre twists for |b| <= 3
+    # the Koszul sums over koszul_grid; fibre twists for |b| <= 3.  The rank
+    # of what it lists is checked first, so a large n is refused at once.
+    _check_limit("the largest bundle chi-oracle lists", _largest_listed_hook(scroll),
+                 "MAX_SUMMANDS", MAX_SUMMANDS)
     failures = []
     for p, a, b in product(*koszul_grid(scroll)):
         div = DivClass(a, b)

@@ -1,5 +1,6 @@
 """Command line front end: parsing, dispatch, formats and exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -520,12 +521,42 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == b""
 
 
+def test_the_entry_point_freezes_the_start_up_heap():
+    # main_entry moves the start-up heap out of every collection, the full
+    # ones at exit included; an atexit hook, which runs before those, reads
+    # how many objects stayed frozen
+    argv = ["line-coh", "--scroll", "1,2", "--div", "2H-F"]
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "from scrollcoh.cli import main_entry\n"
+            f"sys.argv = ['scrollcoh', *{argv!r}]\n"
+            "main_entry()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) > 0
+    assert proc.stdout == subprocess.run([sys.executable, "-m", "scrollcoh.cli", *argv],
+                                         capture_output=True, text=True, env=env,
+                                         timeout=120).stdout
+
+
+def test_main_never_freezes(capsys):
+    # main() runs many times in one process, in the tests and in perfbench's
+    # in-process phases, where each call's garbage must stay collectable
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, "line-coh", "--scroll", "1,2", "--div", "2H-F")[0] == 0
+    assert run(capsys, "verify", "--suite", "homvanish", "--scroll", "1,1,2")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
 # blocks, beilinson, classify and verify build the middle wedge of the
 # splitting bundle, C(n + 1, (n + 1) // 2) summands: 705432 at n = 21 and
 # 1352078, above MAX_SUMMANDS, at n = 22, where the CLI refuses before any
-# table is built.  homvanish and chi-oracle reach the library's MAX_SUMMANDS
-# from n = 9, homvanish at once and chi-oracle at once only from n = 11.  The
-# chi-oracle grid n(2n+5)(2c+5) is 10003 on S(1, 711).
+# table is built.  homvanish reaches the library's MAX_SUMMANDS at once from
+# n = 9.  chi-oracle checks the largest bundle its grid lists before its loop:
+# 288288 at n = 8 and 1485120 at n = 9, refused at once.  The chi-oracle grid
+# n(2n+5)(2c+5) is 10003 on S(1, 711).
 @pytest.mark.parametrize("argv,limit", [
     (["blocks", "--scroll", ones(23)], "MAX_SUMMANDS"),
     (["blocks", "--scroll", ones(5001)], "MAX_SUMMANDS"),
@@ -537,6 +568,8 @@ def test_closed_stdout_exits_quietly():
     (["verify", "--suite", "homvanish", "--scroll", ones(10)], "MAX_SUMMANDS"),
     (["verify", "--suite", "chi-oracle", "--scroll", ones(12)], "MAX_SUMMANDS"),
     (["verify", "--suite", "chi-oracle", "--scroll", "1,711"], "MAX_TWISTS"),
+    (["verify", "--suite", "chi-oracle", "--scroll", ones(10)], "MAX_SUMMANDS"),
+    (["verify", "--suite", "chi-oracle", "--scroll", ones(9) + ",12"], "MAX_SUMMANDS"),
 ])
 def test_scroll_size_limits_exit_one(capsys, argv, limit):
     run_refused(capsys, argv, limit)

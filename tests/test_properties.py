@@ -2,7 +2,8 @@
 tableaux enumerated one by one, against the dict-based convolution and
 against the closed forms of its rank, total degree and extreme degrees, Serre
 duality of the pushforward engine on generated scrolls, across the two
-line-bundle sides of hom_upper_bound and across its two Koszul chases, Hom
+line-bundle sides of hom_upper_bound and across its two Koszul chases, each
+coresolving chase against the resolving chase of its Serre dual pair, Hom
 and Ext of boundary and zero atoms against their omega_atom twins, the
 Koszul and chase terms against the constructor's normal form, the
 checked size of a packed convolution against the integers it holds, Ext tables
@@ -80,6 +81,22 @@ def test_hom_between_differentials_is_serre_dual_across_the_two_chases(S, data, 
     s_k = Atom(s.p, s.twist + S.canonical)
     assume(s != t and t != s_k)
     table, dual = hom_upper_bound(S, s, t), hom_upper_bound(S, t, s_k)
+    assert dual.bounds == tuple(reversed(table.bounds))
+    assert dual.chi == (-1) ** (S.n + 1) * table.chi
+
+
+@settings(deadline=None)
+@example(Scroll((1, 1, 2)), 1, 1, 0, 0, 0, 0)
+@given(st.lists(st.integers(1, 3), min_size=3, max_size=5).map(Scroll), st.integers(1, 4),
+       st.integers(1, 4), twists, twists, twists, twists)
+def test_coresolving_chase_is_the_serre_dual_resolving_chase(S, p, q, a, b, c, d):
+    # the homext docstring's identity, chase by chase rather than on the
+    # intersected tables: the coresolving chase of (s, t) is the resolving
+    # chase of (t, s(K)) read top-down, chi times (-1)^(n+1)
+    s = Atom(min(p, S.n - 1), DivClass(a, b))
+    t = Atom(min(q, S.n - 1), DivClass(c, d))
+    table = homext._chase_coresolving_source(S, s, t)
+    dual = homext._chase_resolving_target(S, t, Atom(s.p, s.twist + S.canonical))
     assert dual.bounds == tuple(reversed(table.bounds))
     assert dual.chi == (-1) ** (S.n + 1) * table.chi
 

@@ -5,9 +5,11 @@ from math import comb
 
 import pytest
 
-from scrollcoh import CohomTable, Scroll, UlrichVerdict, omega_cohomology
+from scrollcoh import CohomTable, Scroll, SplitBundle, UlrichVerdict, omega_cohomology
 from scrollcoh import verify
 from scrollcoh.cli import SUITE_NAMES, main
+from scrollcoh.p1 import MAX_SUMMANDS
+from test_cli import _clear_package_caches
 
 
 def _off_by_one(scroll, p, div):
@@ -27,6 +29,30 @@ def test_chi_oracle_checks_its_whole_grid(monkeypatch, degrees):
     n, c = S.n, S.c
     assert not passed
     assert len(details["failures"]) == n * (2 * n + 5) * (2 * c + 5) + 7 * (n + 1)
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (1, 1, 2), (1, 2, 2, 3), (1, 1, 1, 1, 2)])
+def test_chi_oracle_checks_the_largest_bundle_it_lists(monkeypatch, degrees):
+    # the rank checked before the loop, in closed form, is the largest the
+    # loop asks SplitBundle to list, every cache cold
+    S = Scroll(degrees)
+    ranks = []
+    listed = SplitBundle._listed
+
+    def recording(bundle, rank, sums, *args):
+        ranks.append(rank)
+        return listed(bundle, rank, sums, *args)
+
+    monkeypatch.setattr(SplitBundle, "_listed", recording)
+    _clear_package_caches()
+    assert verify.chi_oracle(S)[0]
+    assert max(ranks) == verify._largest_listed_hook(S)
+
+
+def test_chi_oracle_admits_n_8_and_refuses_n_9():
+    # the rank depends on n alone
+    assert verify._largest_listed_hook(Scroll((1,) * 8 + (5,))) == 288288 <= MAX_SUMMANDS
+    assert verify._largest_listed_hook(Scroll((1,) * 10)) == 1485120 > MAX_SUMMANDS
 
 
 def test_failed_suite_exits_three(monkeypatch, capsys):
