@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from math import prod
 
 # Every engine layer is imported here, not in the handlers: perfbench's tracer
 # looks each one up in sys.modules after `from scrollcoh import cli`.  The
@@ -38,13 +37,13 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the s
 
 # Size limits.  The library owns every limit on what a convolution costs
 # (p1's MAX_SLOTS, MAX_WORK and MAX_SUMMANDS); its ValueError reaches main's
-# one except.  blocks, beilinson, classify and verify do Theta(n^2) work or
-# more in tables of n + 2 entries before any convolution is large, so
-# _check_scroll turns a large n away first; chi-oracle also counts its twists.
-# enumerate_types keeps MAX_TYPES itself.  A profile is read to at most
-# MAX_PROFILE_CHARS characters, far above the ~60 KB of a full n = 20 profile.
-# Every limit refuses through p1._check_limit.
-MAX_TWISTS = 10_000
+# one except.  enumerate_types keeps MAX_TYPES and verify.chi_oracle its grid
+# limit MAX_TWISTS.  The CLI keeps two checks of its own: blocks, beilinson,
+# classify and verify do Theta(n^2) work or more in tables of n + 2 entries
+# before any convolution is large, so _check_scroll turns a large n away
+# first, and a profile is read to at most MAX_PROFILE_CHARS characters, far
+# above the ~60 KB of a full n = 20 profile.  Every limit refuses through
+# p1._check_limit.
 MAX_PROFILE_CHARS = 1_000_000
 
 # the names of verify.SUITES, so that building the parser imports no suite
@@ -99,22 +98,14 @@ def _check_p(p: int, top: int, name: str) -> None:
         raise ValueError(f"--p must lie in 0..{name} (0..{top} here), got {p}")
 
 
-def _check_scroll(scroll: Scroll, command: str) -> None:
-    """Refuse, before any table is built, a scroll too large for ``command``
-    (or the verify suite of that name).
-
-    Every such command builds the middle wedge of the splitting bundle, the
-    one of most summands, whose rank is checked against the library's own
-    MAX_SUMMANDS; chi-oracle also counts its grid of twists.
-    """
+def _check_scroll(scroll: Scroll) -> None:
+    """Refuse, before any table is built, a scroll too large for blocks,
+    beilinson, classify or verify: each builds the middle wedge of the
+    splitting bundle, the one of most summands, whose rank is checked against
+    the library's own MAX_SUMMANDS."""
     n = scroll.n
     _check_limit("the middle wedge rank", hook_rank(n + 1, 1, (n + 1) // 2 - 1),
                  "MAX_SUMMANDS", MAX_SUMMANDS)
-    if command == "chi-oracle":
-        from .verify import koszul_grid
-
-        twists = prod(map(len, koszul_grid(scroll)))
-        _check_limit("the chi-oracle grid", twists, "MAX_TWISTS", MAX_TWISTS)
 
 
 def _divisor_from(args) -> DivClass:
@@ -164,7 +155,7 @@ def _cmd_coh(args, scroll: Scroll):
 
 
 def _cmd_blocks(args, scroll: Scroll):
-    _check_scroll(scroll, args.command)
+    _check_scroll(scroll)
     rows = []
     for i in range(scroll.n + 1):
         sheaf = block(scroll, i)
@@ -179,7 +170,7 @@ def _cmd_blocks(args, scroll: Scroll):
 
 
 def _cmd_beilinson(args, scroll: Scroll):
-    _check_scroll(scroll, args.command)
+    _check_scroll(scroll)
     if args.type is not None:
         sheaf = type_sheaf(scroll, _parse_ints(args.type))
         table = beilinson_table(scroll, sheaf.twist(-H))
@@ -194,7 +185,7 @@ def _type_payload(info) -> dict:
 
 
 def _cmd_classify(args, scroll: Scroll):
-    _check_scroll(scroll, args.command)
+    _check_scroll(scroll)
     if args.type is not None:
         mults = classify(scroll, sheaf=type_sheaf(scroll, _parse_ints(args.type)))
     else:
@@ -219,7 +210,7 @@ def _cmd_enumerate(args, scroll: Scroll):
 def _cmd_verify(args, scroll: Scroll):
     from .verify import SUITES
 
-    _check_scroll(scroll, args.suite)
+    _check_scroll(scroll)
     passed, details = SUITES[args.suite](scroll)
     result = {"suite": args.suite, "passed": passed, "details": details}
     return result, f"suite {args.suite}: {'pass' if passed else 'FAIL'}", None

@@ -219,10 +219,6 @@ class SplitBundle:
         pushforward calculus of relative differentials consumes.
         """
         m, p = index(m), index(p)
-        if m <= 0:
-            raise ValueError("hook shapes need m >= 1")
-        if p < 0:
-            raise ValueError("hook shapes need p >= 0")
         return self._listed(hook_rank(self.rank, m, p), _hook_sums, m, p)
 
     def _listed(self, rank: int, sums, *args) -> SplitBundle:
@@ -246,7 +242,10 @@ class SplitBundle:
 
 def hook_rank(letters: int, m: int, p: int) -> int:
     """Number of hook tableaux of shape (m, 1^p) over an alphabet of the
-    given size, independent of any degree data."""
-    if index(m) <= 0 or index(p) < 0:
-        raise ValueError("invalid hook shape")
+    given size, independent of any degree data; ValueError unless m >= 1 and
+    p >= 0."""
+    if index(m) <= 0:
+        raise ValueError("hook shapes need m >= 1")
+    if index(p) < 0:
+        raise ValueError("hook shapes need p >= 0")
     return comb(letters + m - 1, m + p) * comb(m + p - 1, p)

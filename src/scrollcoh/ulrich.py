@@ -64,8 +64,6 @@ def is_ulrich(scroll: Scroll, sheaf: FormalSheaf) -> UlrichVerdict:
     h^0(V(-H)) = 0 < h^0(V) is recorded separately even though the sweep
     subsumes it.  Every computed number is returned.
     """
-    if not sheaf.is_effective:
-        raise ValueError("Ulrich verification needs nonnegative multiplicities")
     rank = sheaf_rank(scroll, sheaf)
     h0 = sheaf_cohomology(scroll, sheaf).h(0)
     expected = scroll.c * rank

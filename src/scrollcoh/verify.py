@@ -3,11 +3,15 @@ pairing (duality), the Ulrich blocks (blocks), Hom vanishing (homvanish) and
 the Koszul Euler-characteristic oracle (chi-oracle).  Each suite maps a
 scroll to (passed, details) with JSON-ready details.  The package exports
 none of its names; the command line and the acceptance tests import it.
+
+chi_oracle owns its two size limits and refuses before its loop: MAX_TWISTS
+caps its grid of twists, and MAX_SUMMANDS the largest bundle it lists.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import prod
 
 from .beilinson import build_collections, verify_duality
 from .homext import hom_upper_bound
@@ -16,6 +20,8 @@ from .relative import _bott, koszul_resolution, omega_cohomology, sheaf_chi
 from .scroll import DivClass, Scroll
 from .sheaves import omega_atom
 from .ulrich import block, is_ulrich
+
+MAX_TWISTS = 10_000
 
 
 def duality(scroll: Scroll):
@@ -76,8 +82,10 @@ def _largest_listed_hook(scroll: Scroll) -> int:
 
 
 def chi_oracle(scroll: Scroll):
-    # the Koszul sums over koszul_grid; fibre twists for |b| <= 3.  The rank
-    # of what it lists is checked first, so a large n is refused at once.
+    # the Koszul sums over koszul_grid; fibre twists for |b| <= 3.  Both
+    # limits are checked first, so a large n or c is refused at once.
+    _check_limit("the chi-oracle grid", prod(map(len, koszul_grid(scroll))),
+                 "MAX_TWISTS", MAX_TWISTS)
     _check_limit("the largest bundle chi-oracle lists", _largest_listed_hook(scroll),
                  "MAX_SUMMANDS", MAX_SUMMANDS)
     failures = []

@@ -9,16 +9,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
 from scrollcoh import H, Scroll, cli, p1, ulrich
-from scrollcoh.cli import (EXIT_BROKEN_PIPE, MAX_PROFILE_CHARS, MAX_TWISTS, MAX_TYPES,
-                           _check_scroll, main)
+from scrollcoh.cli import EXIT_BROKEN_PIPE, MAX_PROFILE_CHARS, MAX_TYPES, main
 from scrollcoh.p1 import MAX_SLOTS
-from scrollcoh.verify import SUITES
+from scrollcoh.verify import MAX_TWISTS, SUITES, koszul_grid
 
 
 def run(capsys, *argv):
@@ -554,9 +553,10 @@ def test_main_never_freezes(capsys):
 # splitting bundle, C(n + 1, (n + 1) // 2) summands: 705432 at n = 21 and
 # 1352078, above MAX_SUMMANDS, at n = 22, where the CLI refuses before any
 # table is built.  homvanish reaches the library's MAX_SUMMANDS at once from
-# n = 9.  chi-oracle checks the largest bundle its grid lists before its loop:
-# 288288 at n = 8 and 1485120 at n = 9, refused at once.  The chi-oracle grid
-# n(2n+5)(2c+5) is 10003 on S(1, 711).
+# n = 9.  verify.chi_oracle owns its two limits and checks both before its
+# loop: its grid of n(2n+5)(2c+5) twists, 10003 on S(1, 711), against
+# MAX_TWISTS, then the largest bundle the grid lists against MAX_SUMMANDS,
+# 288288 at n = 8 and 1485120 at n = 9, refused at once.
 @pytest.mark.parametrize("argv,limit", [
     (["blocks", "--scroll", ones(23)], "MAX_SUMMANDS"),
     (["blocks", "--scroll", ones(5001)], "MAX_SUMMANDS"),
@@ -593,7 +593,7 @@ def test_scroll_sizes_at_the_limits_run(capsys):
         assert result["passed"] and passed
         assert result["details"] == json.loads(json.dumps(details))
     # S(1, 710) passes the grid check; its chi-oracle run takes seconds
-    _check_scroll(Scroll((1, 710)), "chi-oracle")
+    assert prod(map(len, koszul_grid(Scroll((1, 710))))) <= MAX_TWISTS
     assert 7 * (2 * 711 + 5) <= MAX_TWISTS < 7 * (2 * 712 + 5)
 
 

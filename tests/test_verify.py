@@ -1,6 +1,7 @@
 """The verification suites, pinned by the size of their grids."""
 
 import json
+import time
 from math import comb
 
 import pytest
@@ -53,6 +54,20 @@ def test_chi_oracle_admits_n_8_and_refuses_n_9():
     # the rank depends on n alone
     assert verify._largest_listed_hook(Scroll((1,) * 8 + (5,))) == 288288 <= MAX_SUMMANDS
     assert verify._largest_listed_hook(Scroll((1,) * 10)) == 1485120 > MAX_SUMMANDS
+
+
+@pytest.mark.parametrize("degrees", [(1, 711), (1, 2000)])
+def test_chi_oracle_refuses_a_large_grid_before_its_loop(monkeypatch, degrees):
+    # the grid limit is the library's: a caller of chi_oracle is refused at
+    # once, before any Koszul resolution
+    def entered(*args):
+        raise AssertionError("chi_oracle entered its grid")
+
+    monkeypatch.setattr(verify, "koszul_resolution", entered)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"above the limit MAX_TWISTS = {verify.MAX_TWISTS}"):
+        verify.chi_oracle(Scroll(degrees))
+    assert time.perf_counter() - start < 1
 
 
 def test_failed_suite_exits_three(monkeypatch, capsys):
