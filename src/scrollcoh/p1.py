@@ -106,6 +106,9 @@ def _hook_sums(degs: tuple[int, ...], m: int, p: int) -> _Dist:
         return _EMPTY
     lo = min(degs)
     w = _check_slots(n, m, p, max(degs) - lo)
+    if n == 1:
+        # p = 0 here: the one tableau repeats the one letter m times
+        return m * lo, w, 1
     rows = [1] + [0] * (m - 1)
     cols = [1] + [0] * p
     out = 0

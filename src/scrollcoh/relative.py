@@ -3,6 +3,8 @@
 Everything is driven by the fibrewise Bott regimes: for any twist of
 Omega^p_{S|P^1} at most one derived pushforward to the base line survives
 and is again a split bundle, so a one-row Leray step gives exact dimensions.
+In the top regime it is a dual, B(2)^v, whose numbers Serre duality on the
+line, h^i(B(2)^v) = h^{1-i}(B), reads off B with no dual built.
 Koszul resolutions built from the relative Euler sequence serve as an
 independent route: their alternating Euler characteristics must reproduce
 the pushforward answer, and spliced dimension chases bound cohomology of
@@ -44,6 +46,21 @@ def fiber_degree(n: int, p: int, a: int) -> int | None:
     return None if regime is None else regime[0]
 
 
+def _leray(scroll: Scroll, p: int, div: DivClass) -> tuple[int | None, SplitBundle, bool]:
+    """(q0, B, serre): R^{q0} of Omega^p_{S|P^1}(div) is B, or with serre the
+    dual of B(2), whose h^0 and h^1 are h^1 and h^0 of B by Serre duality on
+    the line; the regimes are those of rel_pushforward."""
+    regime = _bott(scroll.n, p, div.h)
+    if regime is None:
+        return None, SplitBundle(), False
+    q0, m, r = regime
+    if m == 0:
+        return q0, SplitBundle((div.f,)), False
+    if q0 == 0:
+        return 0, scroll.bundle.hook(m, r).twist(div.f), False
+    return q0, scroll.bundle.hook(m, r).twist(-div.f - 2), True
+
+
 def rel_pushforward(scroll: Scroll, p: int, div: DivClass) -> tuple[int | None, SplitBundle]:
     """The single nonvanishing derived pushforward of Omega^p_{S|P^1}(div).
 
@@ -52,27 +69,23 @@ def rel_pushforward(scroll: Scroll, p: int, div: DivClass) -> tuple[int | None, 
     div = a*H + b*F the three regimes are: sections for a >= p+1, given by a
     hook Schur functor of the splitting bundle; the trace line O(b) in
     degree p at a = 0; and, for a <= p-n-1, the relative-duality dual of the
-    complementary hook in degree n.
+    complementary hook in degree n.  P is read from the same dispatch as
+    omega_cohomology, which reads that dual through Serre duality instead.
     """
-    regime = _bott(scroll.n, p, div.h)
-    if regime is None:
-        return None, SplitBundle()
-    q0, m, r = regime
-    if m == 0:
-        return q0, SplitBundle((div.f,))
-    if q0 == 0:
-        return 0, scroll.bundle.hook(m, r).twist(div.f)
-    return q0, scroll.bundle.hook(m, r).twist(-div.f).dual()
+    q0, push, serre = _leray(scroll, p, div)
+    return q0, push.twist(2).dual() if serre else push
 
 
 @lru_cache(maxsize=None, typed=True)
 def omega_cohomology(scroll: Scroll, p: int, div: DivClass) -> CohomTable:
-    """Exact h^*(S, Omega^p_{S|P^1}(div)) via Leray over the base line."""
-    q0, push = rel_pushforward(scroll, p, div)
+    """Exact h^*(S, Omega^p_{S|P^1}(div)) via Leray over the base line; in
+    the top regime h^n and h^{n+1} are read as h^1 and h^0 of the twisted
+    hook, by Serre duality on the line, so no dual is built."""
+    q0, push, serre = _leray(scroll, p, div)
     vals = [0] * (scroll.n + 2)
     if q0 is not None:
-        vals[q0] = push.h0
-        vals[q0 + 1] = push.h1
+        h0, h1 = push.h0, push.h1
+        vals[q0], vals[q0 + 1] = (h1, h0) if serre else (h0, h1)
     return CohomTable.exact(vals)
 
 

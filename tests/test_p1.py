@@ -233,6 +233,19 @@ def test_work_limit_at_its_edge():
         SplitBundle((0,) * 2001).wedge(2001)
 
 
+def test_one_letter_powers_are_read_in_closed_form():
+    # one letter has one tableau of shape (k): Sym^k O(d) = O(kd), at once even
+    # at the largest k the slot limit admits on one letter, which is still refused
+    # one step past it
+    for d in (-3, 0, 5):
+        for k in (0, 1, 2, 7, MAX_SLOTS - 2):
+            start = time.perf_counter()
+            assert SplitBundle((d,)).sym(k) == SplitBundle((k * d,))
+            assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="MAX_SLOTS"):
+        SplitBundle((0,)).sym(MAX_SLOTS - 1)
+
+
 def test_summand_limit_at_its_edge():
     # Sym^k on two letters has k + 1 summands; MAX_SUMMANDS is kept where a
     # distribution is expanded

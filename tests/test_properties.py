@@ -1,21 +1,22 @@
 """Property tests beyond the fixed sweeps: the hook convolution against
 tableaux enumerated one by one, against the dict-based convolution and
 against the closed forms of its rank, total degree and extreme degrees, Serre
-duality of the pushforward engine on generated scrolls, across the two
-line-bundle sides of hom_upper_bound and across its two Koszul chases, each
-coresolving chase against the resolving chase of its Serre dual pair, Hom
-and Ext of boundary and zero atoms against their omega_atom twins, the
-Koszul and chase terms against the constructor's normal form, the
-checked size of a packed convolution against the integers it holds, Ext tables
-against the shifted
+duality of the pushforward engine on generated scrolls, its tables against
+the h^0 and h^1 of the pushforward it reads, and that pushforward against the
+Bott regimes with enumerated tableaux, across the two line-bundle sides of
+hom_upper_bound and across its two Koszul chases, each coresolving chase
+against the resolving chase of its Serre dual pair, Hom and Ext of boundary
+and zero atoms against their omega_atom twins, the Koszul and chase terms
+against the constructor's normal form, the checked size of a packed
+convolution against the integers it holds, Ext tables against the shifted
 cohomology table they are read from, the Bott dimensions on projective
 space, chase intervals around the exact values, the classification round
 trip, the arithmetic of dimension tables, their tightening against the
 integer points it must keep, and the split-bundle constructor, cohomology,
-twist and dual against their per-summand formulas, the bundles and twisted
-sheaves the calculus builds against the constructor's normal form, and the
-answers to a batch of queries with warm caches against those from cold
-ones."""
+twist and dual against their per-summand formulas, Serre duality on the
+line, the bundles and twisted sheaves the calculus builds against the
+constructor's normal form, and the answers to a batch of queries with warm
+caches against those from cold ones."""
 
 from itertools import product
 from unittest import mock
@@ -28,7 +29,8 @@ from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
 from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, Scroll, SplitBundle,
                        chase_bounds, classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
-                       omega_cohomology, intersect, pn_omega_cohomology, type_sheaf)
+                       omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
+                       type_sheaf)
 from scrollcoh import homext, p1
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 from test_cli import _clear_package_caches
@@ -45,6 +47,36 @@ def test_omega_serre_duality(S, data, a, b):
     lhs = omega_cohomology(S, p, DivClass(a, b))
     rhs = omega_cohomology(S, S.n - p, DivClass(-a, -b - 2))
     assert lhs.values() == tuple(rhs.h(S.n + 1 - i) for i in range(S.n + 2))
+
+
+def _pushforward_oracle(S, p, a, b):
+    """(q0, P) from the fibrewise Bott regimes, the hook tableaux enumerated
+    one by one: sections at a >= p + 1, the trace line at a = 0 and the dual
+    of the complementary hook twisted by -b at a <= p - n - 1."""
+    n = S.n
+    if a >= p + 1:
+        return 0, SplitBundle([b + d for d in brute_hook_degrees(S.degrees, a - p, p)])
+    if a == 0:
+        return p, SplitBundle((b,))
+    if a <= p - n - 1:
+        return n, SplitBundle([b - d for d in brute_hook_degrees(S.degrees, -a - (n - p), n - p)])
+    return None, SplitBundle()
+
+
+@example(Scroll((1, 2, 3)), -4, 2)  # top regime, h = (0, 0, 0, 75) at p = 1
+@example(Scroll((1, 4)), -3, 7)  # top regime at p = 0, h = (0, 2, 1)
+@given(scrolls, twists, twists)
+def test_omega_cohomology_reads_the_pushforward(S, a, b):
+    # Leray over the line: h^{q0}, h^{q0+1} are h^0, h^1 of the one surviving
+    # pushforward, which the top regime reads through Serre duality on the line
+    D = DivClass(a, b)
+    for p in range(S.n + 1):
+        q0, P = rel_pushforward(S, p, D)
+        assert (q0, P) == _pushforward_oracle(S, p, a, b)
+        want = [0] * (S.n + 2)
+        if q0 is not None:
+            want[q0], want[q0 + 1] = P.h0, P.h1
+        assert omega_cohomology(S, p, D).values() == tuple(want)
 
 
 @given(scrolls, st.data(), twists, twists, twists, twists)
@@ -210,6 +242,9 @@ def test_split_bundle_matches_per_summand_formulas(x, b):
     assert B.h(2) == 0
     assert B.twist(b).degrees == tuple(sorted(d + b for d in want))
     assert B.dual().degrees == tuple(sorted(-d for d in want))
+    # Serre duality on the line, h^i(B^v) = h^{1-i}(B(-2)), zero outside i = 0, 1
+    for i in range(-1, 3):
+        assert B.dual().h(i) == B.twist(-2).h(1 - i)
 
 
 @given(raw_degrees, st.one_of(st.integers(-5, 5), st.booleans()), st.integers(1, 4),
