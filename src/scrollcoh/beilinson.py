@@ -88,20 +88,18 @@ class DualityReport:
 
 def duality_report(scroll: Scroll, e_collection: Collection,
                    f_collection: Collection) -> DualityReport:
-    """Check the Kronecker pairing for an arbitrary pair of collections,
-    returning the full tensor of Ext dimensions and every violating triple."""
-    violations = []
-    dims = []
-    for i, em in enumerate(e_collection):
-        row = []
-        for j, fm in enumerate(f_collection):
-            ext = ext_line_vs_atom(scroll, em.atom, em.shift, fm.atom).values()
-            row.append(ext)
-            for k, d in enumerate(ext):
-                if d != (1 if i == j == k else 0):
-                    violations.append((i, j, k, d))
-        dims.append(tuple(row))
-    return DualityReport(not violations, tuple(violations), tuple(dims))
+    """Check the Kronecker pairing of two collections in every degree k:
+    dims[i][j] is the table h^0..h^{n+1} of L_i x F_j, E_i being L_i^*[-k_i],
+    and Ext^k(E_i, F_j) is its entry m = k + k_i; violations are sorted."""
+    rows = [[ext_line_vs_atom(scroll, em.atom, 0, fm.atom) for fm in f_collection]
+            for em in e_collection]
+    ext = {(i, j, k): d for i, (em, row) in enumerate(zip(e_collection, rows))
+           for (j, k), d in _grid((table, em.shift) for table in row).items()}
+    for i in range(min(len(e_collection), len(f_collection))):
+        ext.setdefault((i, i, i), 0)
+    violations = sorted((i, j, k, d) for (i, j, k), d in ext.items() if d != (i == j == k))
+    dims = tuple(tuple(table.values() for table in row) for row in rows)
+    return DualityReport(not violations, tuple(violations), dims)
 
 
 def verify_duality(scroll: Scroll) -> DualityReport:
@@ -268,10 +266,18 @@ def _read_diagonal(table: BeilinsonTable, columns) -> tuple[int, ...]:
     return tuple(result)
 
 
+def _block_columns(n: int) -> tuple[int, ...]:
+    """Columns 1, 2, 4, ..., 2n: the dual members that are the blocks' -H twists."""
+    return 1, *range(2, 2 * n + 1, 2)
+
+
 def diagonal_type(scroll: Scroll, table: BeilinsonTable) -> tuple[int, ...]:
     """Filtration multiplicities (a_0, ..., a_n) read off a diagonal table.
 
-    a_0 sits in column 1, a_i in column 2i for i = 1..n.  Any other weight
-    means the input was not the -H twist of an Ulrich bundle and raises.
+    a_0 sits in column 1, a_i in column 2i for i = 1..n.  Any other weight,
+    or a table not of size 2n + 2, means the input was not the -H twist of
+    an Ulrich bundle and raises.
     """
-    return _read_diagonal(table, [1, *range(2, 2 * scroll.n + 1, 2)])
+    if table.size != 2 * scroll.n + 2:
+        raise ValueError(f"table of size {table.size}, but the scroll's is {2 * scroll.n + 2}")
+    return _read_diagonal(table, _block_columns(scroll.n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import prod
 
-from .beilinson import build_collections, verify_duality
+from .beilinson import _block_columns, build_collections, verify_duality
 from .homext import hom_upper_bound
 from .p1 import MAX_SUMMANDS, _check_limit, hook_rank
 from .relative import _bott, koszul_resolution, omega_cohomology, sheaf_chi
@@ -48,7 +48,7 @@ def required_hom_pairs(scroll: Scroll):
     for i, j in permutations(range(n + 1), 2):
         yield twists[i], twists[j], f"Hom(Omega^{i}({i}H), Omega^{j}({j}H))"
     _, f = build_collections(scroll)
-    members = [1] + [2 * t for t in range(1, n + 1)]
+    members = _block_columns(n)
     for k, i in enumerate(members):
         for j in members[:k]:
             yield f[i].atom, f[j].atom, f"Hom(F_{i}, F_{j})"

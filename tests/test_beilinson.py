@@ -5,11 +5,13 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from scrollcoh import (Atom, Collection, DivClass, F, FormalSheaf, H,
+from scrollcoh import (Atom, Collection, CollectionMember, DivClass, F, FormalSheaf, H,
                        NotDiagonalError, Scroll, beilinson_table,
                        beilinson_table_from_profile, block, block_atom,
-                       build_collections, diagonal_type, duality_report,
+                       build_collections, diagonal_type, duality_report, line_atom,
                        omega_atom, sheaf_chi, sigma, type_sheaf, verify_duality)
+from scrollcoh.beilinson import _block_columns
+from scrollcoh.ulrich import veronese_table
 
 
 def test_sigma_examples():
@@ -86,6 +88,43 @@ def test_duality_negative_control():
     assert not report.passed
     assert report.violations
     assert all(len(v) == 4 for v in report.violations)
+
+
+def test_each_block_twisted_down_is_the_dual_member_at_its_block_column():
+    # the identity that lets classify read a type off the diagonal; both
+    # sides are in normal form
+    for degrees in [(1, 2), (1, 1, 1), (1, 2, 3), (2, 2, 3, 3), (1, 1, 2, 2, 3)]:
+        S = Scroll(degrees)
+        _, f = build_collections(S)
+        for i, col in enumerate(_block_columns(S.n)):
+            b = block_atom(S, i)
+            assert Atom(b.p, b.twist - H) == f[col].atom, (degrees, i)
+
+
+def _pairing(S, e_member, f_atom):
+    return duality_report(S, Collection("E", (e_member,)),
+                          Collection("F", (CollectionMember(f_atom),)))
+
+
+def test_duality_checks_negative_degrees():
+    # E = O shifted by 1: h^0(O(2H - 4F)) = 1 on S(1, 2) is Ext^{-1}
+    S = Scroll((1, 2))
+    O = line_atom(DivClass(0, 0))
+    report = _pairing(S, CollectionMember(O, 1), line_atom(DivClass(2, -4)))
+    assert not report.passed
+    assert report.violations == ((0, 0, -1, 1),)
+    assert report.dims == (((1, 1, 0),),)
+
+
+def test_duality_checks_the_diagonal_slot_past_the_table():
+    # E = O shifted by 3 on S(1, 2): h^0(O) = 1 is Ext^{-3}, and Ext^0 would
+    # be h^3, which lies past the table and is zero
+    S = Scroll((1, 2))
+    O = line_atom(DivClass(0, 0))
+    report = _pairing(S, CollectionMember(O, 3), O)
+    assert not report.passed
+    assert report.violations == ((0, 0, -3, 1), (0, 0, 0, 0))
+    assert report.dims == (((1, 0, 0),),)
 
 
 def test_single_block_table_is_a_unit_slot():
@@ -171,6 +210,20 @@ def test_diagonal_type_rejects_stray_entries():
     on_wrong_slot = beilinson_table_from_profile(S, {"entries": [{"j": 3, "q": 3, "h": 1}]})
     with pytest.raises(NotDiagonalError):
         diagonal_type(S, on_wrong_slot)
+
+
+def test_diagonal_type_refuses_a_table_of_another_size():
+    # a surface's table read on a threefold, and a Veronese table read on a
+    # surface scroll; the message names both sizes
+    small = Scroll((1, 2))
+    cases = [(Scroll((1, 1, 2)), beilinson_table(small, type_sheaf(small, (1, 1)).twist(-H)),
+              "size 4", "is 6"),
+             (small, veronese_table(2, atom=(1, 1)), "size 3", "is 4")]
+    for S, table, got, want in cases:
+        with pytest.raises(ValueError) as err:
+            diagonal_type(S, table)
+        assert not isinstance(err.value, NotDiagonalError)
+        assert got in str(err.value) and want in str(err.value)
 
 
 def test_rendering_layout():

@@ -6,17 +6,19 @@ the h^0 and h^1 of the pushforward it reads, and that pushforward against the
 Bott regimes with enumerated tableaux, across the two line-bundle sides of
 hom_upper_bound and across its two Koszul chases, each coresolving chase
 against the resolving chase of its Serre dual pair, Hom and Ext of boundary
-and zero atoms against their omega_atom twins, the Koszul and chase terms
-against the constructor's normal form, the checked size of a packed
-convolution against the integers it holds, Ext tables against the shifted
-cohomology table they are read from, the Bott dimensions on projective
-space, chase intervals around the exact values, the classification round
-trip, the arithmetic of dimension tables, their tightening against the
+and zero atoms against their omega_atom twins, Hom bounds against those of
+the pair twisted by a common divisor, the Kronecker report on random
+collections against a brute-force oracle in every degree, the Koszul and
+chase terms against the constructor's normal form, the checked size of a
+packed convolution against the integers it holds, Ext tables against the
+shifted cohomology table they are read from, the Bott dimensions on
+projective space, chase intervals around the exact values, the classification
+round trip, the arithmetic of dimension tables, their tightening against the
 integer points it must keep, and the split-bundle constructor, cohomology,
-twist and dual against their per-summand formulas, Serre duality on the
-line, the bundles and twisted sheaves the calculus builds against the
-constructor's normal form, and the answers to a batch of queries with warm
-caches against those from cold ones."""
+twist and dual against their per-summand formulas, Serre duality on the line,
+the bundles and twisted sheaves the calculus builds against the constructor's
+normal form, and the answers to a batch of queries with warm caches against
+those from cold ones."""
 
 from itertools import product
 from unittest import mock
@@ -26,8 +28,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
-from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, Scroll, SplitBundle,
-                       chase_bounds, classify, ext_line_vs_atom, hom_upper_bound, hook_rank,
+from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass, FormalSheaf,
+                       Scroll, SplitBundle, chase_bounds, classify, duality_report,
+                       ext_line_vs_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
                        type_sheaf)
@@ -167,6 +170,53 @@ def test_ext_reads_boundary_and_zero_atoms_as_their_omega_atom_twins(S, data, a,
     else:
         want = ext_line_vs_atom(S, twins[0], shift, twins[1])
     assert ext_line_vs_atom(S, source, shift, target) == want
+
+
+@settings(deadline=None)
+@given(scrolls, st.data(), twists, twists, twists, twists, twists, twists)
+def test_hom_bounds_depend_only_on_the_twist_difference(S, data, a, b, c, d, u, v):
+    # Hom(A(L), B(L)) = Hom(A, B) for every pair, boundary and zero atoms and
+    # both Koszul chases included
+    p, q = (data.draw(st.integers(-1, S.n + 1)) for _ in range(2))
+    D, E, L = DivClass(a, b), DivClass(c, d), DivClass(u, v)
+    assert (hom_upper_bound(S, Atom(p, D + L), Atom(q, E + L))
+            == hom_upper_bound(S, Atom(p, D), Atom(q, E)))
+
+
+def _kronecker_oracle(S, e, f):
+    # every (i, j, k, dim) with dim Ext^k(E_i, F_j) = h^{k + k_i}(L_i x F_j)
+    # off the Kronecker delta, over every degree either side can reach
+    found = []
+    for i, em in enumerate(e):
+        line = omega_atom(S, em.atom.p, em.atom.twist)
+        for j, fm in enumerate(f):
+            target = omega_atom(S, fm.atom.p, fm.atom.twist)
+            coh = (CohomTable.zero(S.n + 2) if None in (line, target)
+                   else omega_cohomology(S, target.p, target.twist + line.twist))
+            for k in range(-3 * S.n - 8, 3 * S.n + 8):
+                dim = coh.h(k + em.shift)
+                if dim != (1 if i == j == k else 0):
+                    found.append((i, j, k, dim))
+    return found
+
+
+def _collection(data, flavor, ps, shifts):
+    members = st.builds(CollectionMember, st.builds(Atom, ps, small_divs), shifts)
+    return Collection(flavor, tuple(data.draw(st.lists(members, min_size=1, max_size=4))))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4).map(Scroll), st.data())
+def test_duality_report_is_the_kronecker_oracle(S, data):
+    # line, Omega^n and zero sources at any shift against any targets: the
+    # report lists exactly the oracle's violations, in every degree k
+    e = _collection(data, "E", st.sampled_from((-1, 0, S.n, S.n + 1)),
+                    st.integers(-(S.n + 3), S.n + 3))
+    f = _collection(data, "F", st.integers(-1, S.n + 1), st.just(0))
+    report = duality_report(S, e, f)
+    want = _kronecker_oracle(S, e, f)
+    assert report.violations == tuple(want)
+    assert report.passed == (not want)
 
 
 @settings(deadline=None)
