@@ -3,12 +3,15 @@
 ``value`` turns a class with annotated fields into an immutable value type:
 a constructor taking the fields positionally or by keyword, equality and
 hashing on the field tuple, optional ordering and a ``Name(field=...)``
-repr.  The constructor is compiled once per class, when the decorator runs,
-with the defaults in its signature, so Python's own call protocol binds the
-arguments and raises ``TypeError`` on a bad call; its file name names the
-class, for profiles and tracebacks; it reads each field annotated ``int``
-with ``operator.index``, so ``1.5`` or ``"2"`` raises ``TypeError`` and
-``True`` is stored as ``1``.  The other methods are closures.
+repr.  The constructor is compiled once per class, with the defaults in its
+signature, so Python's own call protocol binds the arguments and raises
+``TypeError`` on a bad call; its file name names the class, for profiles and
+tracebacks; it reads each field annotated ``int`` with ``operator.index``,
+so ``1.5`` or ``"2"`` raises ``TypeError`` and ``True`` is stored as ``1``.
+It is compiled on the class's first construction, not when the decorator
+runs: each command line call is a fresh process that constructs only some of
+the classes, and importing the package then compiles none.  The other
+methods are closures.
 
 Each instance stores the tuple of its fields, taken after ``__post_init__``,
 as ``_key``: equality, hashing and ordering then read one attribute instead
@@ -27,6 +30,10 @@ def value(cls=None, /, *, order=False):
     """Class decorator giving ``cls`` value semantics over its annotated
     fields, in the order they are annotated; a class attribute of the same
     name is that field's default, as in a ``def``, defaults coming last.
+
+    The constructor is compiled when the first instance is built, and from
+    then on every construction runs it; a field without a default after one
+    with a default raises ``SyntaxError`` here, as in a ``def``.
 
     The constructor calls ``__post_init__`` if the class defines one, which
     may normalise fields with ``object.__setattr__``; afterwards assigning
@@ -56,12 +63,23 @@ def _constructor(cls, fields):
     lines.append(f"    _setattr(self, '_key', ({key}))")
     namespace = {"_setattr": object.__setattr__, "_index": index, "_defaults": cls.__dict__}
     exec(compile("\n".join(lines), f"<{cls.__qualname__}.__init__>", "exec"), namespace)
-    return namespace["__init__"]
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _make_value(cls, order):
     fields = cls.__dict__.get("__annotations__", {})
     qualname = cls.__qualname__
+    # the constructor's signature takes the defaults last, as a def must
+    defaulted = [n in cls.__dict__ for n in fields]
+    if defaulted != sorted(defaulted):
+        raise SyntaxError(f"{qualname}: a field without a default follows one with a default")
+
+    def __init__(self, *args, **kwargs):
+        # the first construction compiles the constructor, which every later one runs
+        cls.__init__ = init = _constructor(cls, fields)
+        init(self, *args, **kwargs)
 
     def __setattr__(self, name, val):
         raise AttributeError(f"{qualname} is immutable; cannot assign {name!r}")
@@ -89,7 +107,7 @@ def _make_value(cls, order):
         object.__setattr__(self, "_key", vals)
         return self
 
-    methods = [_constructor(cls, fields), __setattr__, __delattr__, __repr__, __eq__, __hash__]
+    methods = [__init__, __setattr__, __delattr__, __repr__, __eq__, __hash__]
 
     if order:
         def __lt__(self, other):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import re
 import sys
@@ -118,6 +117,8 @@ def _divisor_from(args) -> DivClass:
 
 
 def _load_profile(path: str) -> dict:
+    import json  # here and in main: only JSON read or written loads it
+
     with open(path, encoding="utf-8") as handle:
         text = handle.read(MAX_PROFILE_CHARS + 1)  # one past the limit, never the whole file
     _check_limit("the profile length", len(text), "MAX_PROFILE_CHARS", MAX_PROFILE_CHARS)
@@ -305,11 +306,16 @@ def main(argv=None) -> int:
         payload = {"command": args.command,
                    "scroll": None if scroll is None else list(scroll.degrees),
                    "result": result}
-        out = {"json": json.dumps(payload, sort_keys=True), "md": md, "latex": latex}[args.format]
+        out = {"md": md, "latex": latex}.get(args.format)
         if out is None:
-            dump = json.dumps(payload, sort_keys=True, indent=2)
-            out = (f"```json\n{dump}\n```" if args.format == "md"
-                   else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
+            import json  # here and in _load_profile: only JSON read or written loads it
+
+            if args.format == "json":
+                out = json.dumps(payload, sort_keys=True)
+            else:
+                dump = json.dumps(payload, sort_keys=True, indent=2)
+                out = (f"```json\n{dump}\n```" if args.format == "md"
+                       else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
     except (IndeterminateError, ValueError, OSError) as exc:
         # a usage error (_Parser.error) and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
@@ -321,8 +327,8 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    # The start-up heap (the interpreter's, argparse's, json's and the
-    # package's objects) lives until exit, so move it out of every collection,
+    # The start-up heap (the interpreter's, argparse's and the package's
+    # objects) lives until exit, so move it out of every collection,
     # the full ones at exit included.  Only here: main() is also called many
     # times in one process, where each call's garbage must stay collectable.
     gc.freeze()

@@ -103,7 +103,7 @@ class FormalSheaf:
                                          for a, m in self.terms))
 
 
-ZERO_SHEAF = FormalSheaf()
+ZERO_SHEAF = FormalSheaf._normal(())  # as FormalSheaf(), with no constructor compiled
 
 
 def sheaf_rank(scroll: Scroll, sheaf: FormalSheaf) -> int:

@@ -20,7 +20,8 @@ from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
 from .p1 import MAX_SUMMANDS, _check_limit
 from .relative import pn_omega_cohomology, sheaf_cohomology
 from .scroll import DivClass, H, Scroll
-from .sheaves import Atom, FormalSheaf, deg_slope, omega_atom, sheaf_rank
+from .sheaves import (Atom, FormalSheaf, atom_c1, atom_rank, deg_H, omega_atom,
+                      sheaf_rank)
 
 MAX_TYPES = 10_000
 
@@ -108,28 +109,55 @@ class TypeInfo:
     rank: int
     c1: DivClass
     h0: int
-    slope: Fraction  # fractions.Fraction, made by sheaves.deg_slope
+    slope: Fraction  # fractions.Fraction, deg_H(c1) / rank as sheaves.deg_slope has it
     line_block_positions: tuple[int, ...]
 
 
-def type_sheaf(scroll: Scroll, multiplicities) -> FormalSheaf:
-    """The block sum with the given multiplicities."""
+def _type(scroll: Scroll, multiplicities) -> tuple[int, ...]:
     mults = tuple(map(index, multiplicities))
     if len(mults) != scroll.n + 1:
         raise ValueError("a type needs n + 1 multiplicities")
     if any(a < 0 for a in mults):
         raise ValueError("multiplicities must be nonnegative")
+    return mults
+
+
+def type_sheaf(scroll: Scroll, multiplicities) -> FormalSheaf:
+    """The block sum with the given multiplicities."""
     return FormalSheaf(tuple((block_atom(scroll, i), a)
-                             for i, a in enumerate(mults) if a))
+                             for i, a in enumerate(_type(scroll, multiplicities)) if a))
 
 
 def type_info(scroll: Scroll, multiplicities) -> TypeInfo:
-    mults = tuple(map(index, multiplicities))
-    sheaf = type_sheaf(scroll, mults)
-    rank, c1, _deg, slope = deg_slope(scroll, sheaf)
-    # blocks 0 and n are the line bundles, the only blocks of rank one
-    lines = tuple(i for i in (0, scroll.n) if mults[i])
-    return TypeInfo(mults, rank, c1, scroll.c * rank, slope, lines)
+    return _type_infos(scroll, [_type(scroll, multiplicities)])[0]
+
+
+def _type_infos(scroll: Scroll, types) -> list[TypeInfo]:
+    """The TypeInfo of each type, what deg_slope reads off its block sum: the
+    rank, c1 and degree are sums over the blocks, and each block's rank and
+    c1 are computed once, when a type first uses it, so no sheaf is built per
+    type and no binomial of a block no type uses."""
+    from fractions import Fraction  # here, as in deg_slope
+
+    blocks: dict[int, tuple[int, DivClass]] = {}
+    infos = []
+    for mults in types:
+        rank = h = f = 0
+        for i, a in enumerate(mults):
+            if a:
+                if i not in blocks:
+                    atom = block_atom(scroll, i)
+                    blocks[i] = atom_rank(scroll, atom), atom_c1(scroll, atom)
+                r, c1 = blocks[i]
+                rank, h, f = rank + a * r, h + a * c1.h, f + a * c1.f
+        if rank == 0:
+            raise ValueError("slope undefined for rank zero")
+        c1 = DivClass(h, f)
+        # blocks 0 and n are the line bundles, the only blocks of rank one
+        lines = tuple(i for i in (0, scroll.n) if mults[i])
+        infos.append(TypeInfo(mults, rank, c1, scroll.c * rank,
+                              Fraction(deg_H(scroll, c1), rank), lines))
+    return infos
 
 
 def enumerate_types(scroll: Scroll, rank: int | None = None,
@@ -169,7 +197,7 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
         while pos >= 0 and rest[pos + 1] < weights[pos]:
             pos -= 1
         if pos < 0:
-            return [type_info(scroll, t) for t in found]
+            return _type_infos(scroll, found)
         acc[pos] += 1
         rest[pos + 1] -= weights[pos]
         acc[pos + 1:] = [0] * (m - 1 - pos)

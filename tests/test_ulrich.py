@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import all_scrolls
 from scrollcoh import (DivClass, FormalSheaf, NotDiagonalError, NotUlrichError,
-                       Scroll, atom_rank, block, block_atom, classify,
-                       enumerate_types, is_ulrich, line_atom,
+                       Scroll, atom_rank, block, block_atom, classify, deg_slope,
+                       enumerate_types, is_ulrich, line_atom, type_info,
                        type_sheaf, veronese_classify, veronese_table)
 from scrollcoh.p1 import MAX_SUMMANDS
 
@@ -185,6 +185,25 @@ def test_enumerate_types_against_the_counting_oracle(S, rank):
         assert t.rank == rank and len(t.multiplicities) == n + 1
         assert t.line_block_positions == tuple(i for i in sorted({0, n})
                                                if t.multiplicities[i])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=6).map(Scroll), st.integers(1, 12))
+def test_listed_types_carry_what_deg_slope_reads_off_their_block_sums(S, rank):
+    # the listing sums block invariants; the oracle builds each type's sheaf
+    for t in enumerate_types(S, rank=rank):
+        sheaf_rank, c1, _deg, slope = deg_slope(S, type_sheaf(S, t.multiplicities))
+        assert (t.rank, t.c1, t.h0, t.slope) == (sheaf_rank, c1, S.c * sheaf_rank, slope)
+        assert type_info(S, t.multiplicities) == t
+
+
+def test_type_info_refuses_a_bad_type_with_its_own_message():
+    S = Scroll((1, 2, 2))
+    for mults, message in [((1, 1), "a type needs n \\+ 1 multiplicities"),
+                           ((1, -1, 1), "multiplicities must be nonnegative"),
+                           ((0, 0, 0), "slope undefined for rank zero")]:
+        with pytest.raises(ValueError, match=message):
+            type_info(S, mults)
 
 
 @pytest.mark.parametrize("degrees,rank,limit", [

@@ -283,6 +283,70 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
             b: int
 
 
+# -- the first construction, in a fresh interpreter ---------------------------
+
+# Each class's first call has one argument too many; a good call follows at
+# once, with arguments built only from the classes before it, and the same
+# good and bad calls are made again once every class has been built.
+FIRST_CONSTRUCTION = """
+import json
+from fractions import Fraction
+import scrollcoh as sc
+
+D = sc.DivClass
+GOOD = {
+    "DivClass": lambda: (1, -2),
+    "SplitBundle": lambda: ((2, 1),),
+    "Scroll": lambda: ((2, 1),),
+    "CohomTable": lambda: (((1, 1), (0, 2)), -1),
+    "Atom": lambda: (1, D(0, 1)),
+    "FormalSheaf": lambda: (((sc.Atom(1, D(0, 1)), 2), (sc.Atom(0, D(1, 0)), 1)),),
+    "CollectionMember": lambda: (sc.Atom(0, D(1, 0)), 1),
+    "Collection": lambda: ("E", (sc.CollectionMember(sc.Atom(0, D())),)),
+    "DualityReport": lambda: (True, (), (((1, 0),),)),
+    "BeilinsonTable": lambda: ((0, 1), ("a", "b"), ("c", "d"), {(0, 0): 2},
+                               ("A", "B"), ("C", "D")),
+    "UlrichVerdict": lambda: (True, 1, 3, 3, True, ((1, (0, 0, 0)),), ()),
+    "TypeInfo": lambda: ((1, 0), 1, D(1, -1), 3, Fraction(2), (0,)),
+}
+
+
+def bad_call(cls):
+    try:
+        cls(*[None] * (len(cls.__annotations__) + 1))
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
+report = {}
+for name, good in GOOD.items():
+    cls = getattr(sc, name)
+    compiled = cls.__init__.__code__.co_filename == f"<{name}.__init__>"
+    report[name] = [compiled, bad_call(cls), cls(*good())]
+for name, good in GOOD.items():
+    cls = getattr(sc, name)
+    compiled, first_bad, first_good = report[name]
+    later_good = cls(*good())
+    report[name] = [compiled, first_bad, bad_call(cls), repr(first_good), repr(later_good),
+                    first_good == later_good]
+print(json.dumps(report))
+"""
+
+
+def test_first_construction_of_each_class_binds_as_every_later_one():
+    from test_package import fresh
+
+    report = fresh(FIRST_CONSTRUCTION)
+    assert sorted(report) == sorted(cls.__name__ for cls in {type(v) for v in _public_values()})
+    for name, (compiled, first_bad, later_bad, first_good, later_good, equal) in report.items():
+        assert not compiled, f"{name}'s constructor was compiled before its first call"
+        # the compiled constructor's own message, e.g. "takes 3 positional arguments"
+        assert first_bad is not None and "positional argument" in first_bad, name
+        assert first_bad == later_bad, name
+        assert first_good == later_good and equal, name
+
+
 def test_cli_import_does_not_load_dataclasses():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -300,4 +364,5 @@ def test_cli_import_adds_no_heavy_modules():
     added = set(subprocess.run([sys.executable, "-c", script], capture_output=True,
                                text=True, env=env, check=True, timeout=120).stdout.split())
     assert "scrollcoh.cli" in added
-    assert not added & {"dataclasses", "inspect", "dis", "tokenize", "ast", "typing"}
+    assert not added & {"dataclasses", "inspect", "dis", "tokenize", "ast", "typing",
+                        "json", "fractions", "decimal"}
