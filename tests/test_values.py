@@ -25,6 +25,7 @@ from scrollcoh import (H, Atom, BeilinsonTable, CohomTable, Collection,
                        type_info, type_sheaf, verify_duality, veronese_table)
 from scrollcoh._value import value
 from scrollcoh.beilinson import build_collections
+from test_package import fresh
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -285,9 +286,10 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
 
 # -- the first construction, in a fresh interpreter ---------------------------
 
-# Each class's first call has one argument too many; a good call follows at
-# once, with arguments built only from the classes before it, and the same
-# good and bad calls are made again once every class has been built.
+# Each class's first call has one argument too many; a good call by keyword
+# follows at once, with arguments built only from the classes before it, and
+# the same calls, the good one by position, are made again once every class
+# has been built.
 FIRST_CONSTRUCTION = """
 import json
 from fractions import Fraction
@@ -323,7 +325,7 @@ report = {}
 for name, good in GOOD.items():
     cls = getattr(sc, name)
     compiled = cls.__init__.__code__.co_filename == f"<{name}.__init__>"
-    report[name] = [compiled, bad_call(cls), cls(*good())]
+    report[name] = [compiled, bad_call(cls), cls(**dict(zip(cls.__annotations__, good())))]
 for name, good in GOOD.items():
     cls = getattr(sc, name)
     compiled, first_bad, first_good = report[name]
@@ -335,8 +337,6 @@ print(json.dumps(report))
 
 
 def test_first_construction_of_each_class_binds_as_every_later_one():
-    from test_package import fresh
-
     report = fresh(FIRST_CONSTRUCTION)
     assert sorted(report) == sorted(cls.__name__ for cls in {type(v) for v in _public_values()})
     for name, (compiled, first_bad, later_bad, first_good, later_good, equal) in report.items():
