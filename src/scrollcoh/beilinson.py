@@ -125,6 +125,10 @@ class BeilinsonTable:
     collection labels on the bottom one, with columns j = size-1 .. 0 from
     left to right and rows q = size-1 .. 0 from top to bottom; diagonal
     means q = j, the positions that survive for Ulrich input.
+
+    The table keeps a read-only copy of ``entries``.  Label tuples of another
+    length than ``shifts``, a key outside size x size, or an entry that is
+    not a nonnegative integer raise ValueError.
     """
 
     shifts: tuple[int, ...]
@@ -133,6 +137,18 @@ class BeilinsonTable:
     entries: Mapping[tuple[int, int], int]
     f_labels_tex: tuple[str, ...]
     e_labels_tex: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        size = len(self.shifts)
+        if any(len(labels) != size for labels in (self.f_labels, self.e_labels,
+                                                   self.f_labels_tex, self.e_labels_tex)):
+            raise ValueError(f"a table with {size} shifts needs {size} labels in each row")
+        for (j, q), v in self.entries.items():
+            if j not in range(size) or q not in range(size):
+                raise ValueError(f"entry at column {j}, row {q} is outside a table of size {size}")
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError(f"entry {v!r} at column {j}, row {q} is not a dimension")
 
     @property
     def size(self) -> int:
@@ -181,7 +197,7 @@ def _assemble(e: Collection, f: Collection, entries: dict) -> BeilinsonTable:
         shifts=tuple(m.shift for m in e),
         f_labels=tuple(atom_label(m.atom) for m in f),
         e_labels=tuple(shifted(m, False) for m in e),
-        entries=MappingProxyType(entries),
+        entries=entries,
         f_labels_tex=tuple(atom_label(m.atom, True) for m in f),
         e_labels_tex=tuple(shifted(m, True) for m in e),
     )

@@ -124,11 +124,14 @@ def deg_H(scroll: Scroll, div: DivClass) -> int:
 
 def deg_slope(scroll: Scroll, sheaf: FormalSheaf) -> tuple[int, DivClass, int, Fraction]:
     """(rank, c1, H-degree, slope), with the slope an exact rational."""
+    return _slope(scroll, sheaf_rank(scroll, sheaf), sheaf_c1(scroll, sheaf))
+
+
+def _slope(scroll: Scroll, rank: int, c1: DivClass) -> tuple[int, DivClass, int, Fraction]:
+    # deg_slope's step from (rank, c1), which ulrich's type listing takes too
     from fractions import Fraction  # here, so start-up without slopes skips it
 
-    rank = sheaf_rank(scroll, sheaf)
     if rank == 0:
         raise ValueError("slope undefined for rank zero")
-    c1 = sheaf_c1(scroll, sheaf)
     deg = deg_H(scroll, c1)
     return rank, c1, deg, Fraction(deg, rank)

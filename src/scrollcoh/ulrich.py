@@ -11,7 +11,6 @@ from numerics alone, only slopes and Hom/Ext bounds are reported.
 from __future__ import annotations
 
 from operator import index
-from types import MappingProxyType
 
 from ._value import value
 from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
@@ -20,7 +19,7 @@ from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
 from .p1 import MAX_SUMMANDS, _check_limit
 from .relative import pn_omega_cohomology, sheaf_cohomology
 from .scroll import DivClass, H, Scroll
-from .sheaves import (Atom, FormalSheaf, atom_c1, atom_rank, deg_H, omega_atom,
+from .sheaves import (Atom, FormalSheaf, _slope, atom_c1, atom_rank, omega_atom,
                       sheaf_rank)
 
 MAX_TYPES = 10_000
@@ -109,7 +108,7 @@ class TypeInfo:
     rank: int
     c1: DivClass
     h0: int
-    slope: Fraction  # fractions.Fraction, deg_H(c1) / rank as sheaves.deg_slope has it
+    slope: Fraction  # fractions.Fraction, from sheaves._slope, the step deg_slope takes
     line_block_positions: tuple[int, ...]
 
 
@@ -137,8 +136,6 @@ def _type_infos(scroll: Scroll, types) -> list[TypeInfo]:
     rank, c1 and degree are sums over the blocks, and each block's rank and
     c1 are computed once, when a type first uses it, so no sheaf is built per
     type and no binomial of a block no type uses."""
-    from fractions import Fraction  # here, as in deg_slope
-
     blocks: dict[int, tuple[int, DivClass]] = {}
     infos = []
     for mults in types:
@@ -150,13 +147,10 @@ def _type_infos(scroll: Scroll, types) -> list[TypeInfo]:
                     blocks[i] = atom_rank(scroll, atom), atom_c1(scroll, atom)
                 r, c1 = blocks[i]
                 rank, h, f = rank + a * r, h + a * c1.h, f + a * c1.f
-        if rank == 0:
-            raise ValueError("slope undefined for rank zero")
-        c1 = DivClass(h, f)
+        rank, c1, _, slope = _slope(scroll, rank, DivClass(h, f))
         # blocks 0 and n are the line bundles, the only blocks of rank one
         lines = tuple(i for i in (0, scroll.n) if mults[i])
-        infos.append(TypeInfo(mults, rank, c1, scroll.c * rank,
-                              Fraction(deg_H(scroll, c1), rank), lines))
+        infos.append(TypeInfo(mults, rank, c1, scroll.c * rank, slope, lines))
     return infos
 
 
@@ -237,8 +231,7 @@ def veronese_table(dim: int, profile: dict | None = None,
         entries = _profile_entries(profile, size)
     f_plain, f_tex, e_plain, e_tex = _pn_labels(dim)
     return BeilinsonTable(shifts=(0,) * size, f_labels=f_plain, e_labels=e_plain,
-                          entries=MappingProxyType(entries), f_labels_tex=f_tex,
-                          e_labels_tex=e_tex)
+                          entries=entries, f_labels_tex=f_tex, e_labels_tex=e_tex)
 
 
 def veronese_classify(table: BeilinsonTable) -> int:

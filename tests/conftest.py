@@ -1,5 +1,5 @@
 """Shared test helpers: scroll enumeration, direct enumeration oracles and
-the dict-based hook convolution.
+the dict-based hook convolution, and a per-test time limit.
 
 The oracles deliberately avoid the library's convolution shortcuts: multisets
 and tableaux are enumerated cell by cell so the fast paths have something
@@ -8,9 +8,36 @@ dict-based hook convolution, which keeps every count as its own int, checks
 the packed one.
 """
 
+import signal
 from itertools import combinations, combinations_with_replacement
 
+import pytest
+
 from scrollcoh import Scroll
+
+# the slowest test takes about 2 s on 2 vCPUs; a slow regression fails here
+# instead of hanging the run
+TIME_LIMIT_S = 60
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test whose call runs past TIME_LIMIT_S seconds, through SIGALRM;
+    where signal.setitimer is missing (Windows) no limit is set."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past the {TIME_LIMIT_S} s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def nondecreasing_tuples(length, total_max, minimum=1):

@@ -5,8 +5,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from scrollcoh import (Atom, Collection, CollectionMember, DivClass, F, FormalSheaf, H,
-                       NotDiagonalError, Scroll, beilinson_table,
+from scrollcoh import (Atom, BeilinsonTable, Collection, CollectionMember, DivClass, F,
+                       FormalSheaf, H, NotDiagonalError, Scroll, beilinson_table,
                        beilinson_table_from_profile, block, block_atom,
                        build_collections, diagonal_type, duality_report, line_atom,
                        omega_atom, sheaf_chi, sigma, type_sheaf, verify_duality)
@@ -224,6 +224,20 @@ def test_diagonal_type_refuses_a_table_of_another_size():
             diagonal_type(S, table)
         assert not isinstance(err.value, NotDiagonalError)
         assert got in str(err.value) and want in str(err.value)
+
+
+@pytest.mark.parametrize("field, bad", [
+    (0, (0, 1, 2)), (1, ("a",)), (2, ("c", "d", "e")), (4, ()), (5, ("C",)),
+    (3, {(5, 0): 1}), (3, {(0, 2): 1}), (3, {(-1, 0): 1}), (3, {(0, 1.5): 1}),
+    (3, {(0, 0): -3}), (3, {(0, 0): 1.5}), (3, {(0, 0): "1"}), (3, {(0, 0): True}),
+])
+def test_table_refuses_a_shape_it_cannot_print(field, bad):
+    # labels one per shift, keys inside size x size, nonnegative integer entries
+    args = [(0, 1), ("a", "b"), ("c", "d"), {(0, 0): 2}, ("A", "B"), ("C", "D")]
+    BeilinsonTable(*args).render_md()
+    args[field] = bad
+    with pytest.raises(ValueError):
+        BeilinsonTable(*args)
 
 
 def test_rendering_layout():

@@ -474,7 +474,9 @@ def test_enumerate_on_six_thousand_and_one_summands(capsys):
 
 def test_enumerate_on_sixty_thousand_and_one_summands(capsys):
     # only blocks 0 and n have rank at most 1, so no larger binomial is formed;
-    # a table of every C(n, i) held over 300 MB
+    # a table of every C(n, i) held over 300 MB, and one that formed every
+    # C(n, i) ran past 10 minutes; about 1 s under tracemalloc on 2 vCPUs
+    start = time.perf_counter()
     tracemalloc.start()
     try:
         payload = run_json(capsys, "enumerate", "--scroll", ",".join(["1"] * 60001),
@@ -482,6 +484,7 @@ def test_enumerate_on_sixty_thousand_and_one_summands(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 10.0
     assert peak < 50 * 2 ** 20
     types = [t["type"] for t in payload["result"]["types"]]
     assert types == [[0] * 60000 + [1], [1] + [0] * 60000]

@@ -46,6 +46,7 @@ def test_sym_power_examples():
     assert SplitBundle((1, 2)).sym(0).degrees == (0,)
     assert SplitBundle(()).sym(0).degrees == (0,)
     assert SplitBundle((1, 1, 1)).sym(2).degrees == (2,) * 6
+    assert SplitBundle((1, 2)).sym(-1).is_zero
 
 
 def test_wedge_power_examples():

@@ -65,7 +65,11 @@ def test_fields_cannot_be_assigned_or_deleted(obj):
 
 
 def test_table_entries_are_read_only():
-    for table in _public_values():
+    entries = {(0, 0): 2}
+    built = BeilinsonTable((0, 1), ("a", "b"), ("c", "d"), entries, ("A", "B"), ("C", "D"))
+    entries[(1, 1)] = 7  # a later edit of the caller's dict does not reach the table
+    assert dict(built.entries) == {(0, 0): 2} and built.entry(1, 1) == 0
+    for table in [built, *_public_values()]:
         if isinstance(table, BeilinsonTable):
             with pytest.raises(TypeError):
                 table.entries[(0, 0)] = 1
