@@ -7,7 +7,9 @@ repr.  The constructor is compiled once per class, with the defaults in its
 signature, so Python's own call protocol binds the arguments and raises
 ``TypeError`` on a bad call; its file name names the class, for profiles and
 tracebacks; it reads each field annotated ``int`` with ``operator.index``,
-so ``1.5`` or ``"2"`` raises ``TypeError`` and ``True`` is stored as ``1``.
+so ``1.5`` or ``"2"`` raises ``TypeError`` and ``True`` is stored as ``1``,
+and keys each field annotated ``Mapping`` by the tuple of its items, so a
+class whose ``__post_init__`` stores a mapping in one order hashes too.
 It is compiled on the class's first construction, not when the decorator
 runs: each command line call is a fresh process that constructs only some of
 the classes, and importing the package then compiles none.  The other
@@ -19,7 +21,8 @@ of rebuilding the tuple, which matters when formal sheaves sort their atoms
 and the caches hash scrolls and divisor classes.  ``cls._normal(*fields)``
 is the other way in, for callers that built every field in its normal form
 themselves: it sets the fields and ``_key`` as given, with no ``int`` reads
-and no ``__post_init__``.
+and no ``__post_init__``, so it serves only classes without a ``Mapping``
+field.
 """
 
 from functools import total_ordering
@@ -47,19 +50,26 @@ def value(cls=None, /, *, order=False):
     return _make_value(cls, order)
 
 
+def _bare(kind) -> str:
+    # "int" for int, "Mapping" for Mapping[K, V], written out or postponed
+    return str(getattr(kind, "__name__", kind)).partition("[")[0]
+
+
 def _constructor(cls, fields):
     # def __init__(self, a, b=<default>): read the int fields with index, set
     # the fields, call __post_init__ if the class defines one, and store the
-    # key: the field tuple, read back if __post_init__ may have normalised it.
+    # key: the field tuple, read back if __post_init__ may have normalised it,
+    # with each Mapping field's items in place of the mapping.
     params = "".join(f", {n}=_defaults[{n!r}]" if n in cls.__dict__ else f", {n}"
                      for n in fields)
     lines = [f"def __init__(self{params}):"]
-    lines += [f"    {n} = _index({n})" for n, kind in fields.items() if kind in (int, "int")]
+    lines += [f"    {n} = _index({n})" for n, kind in fields.items() if _bare(kind) == "int"]
     lines += [f"    _setattr(self, {n!r}, {n})" for n in fields]
-    key = "".join(f"{n}, " for n in fields)
-    if "__post_init__" in cls.__dict__:
+    read = "self." if "__post_init__" in cls.__dict__ else ""
+    if read:
         lines.append("    self.__post_init__()")
-        key = "".join(f"self.{n}, " for n in fields)
+    key = "".join(f"tuple({read}{n}.items()), " if _bare(kind) == "Mapping" else f"{read}{n}, "
+                  for n, kind in fields.items())
     lines.append(f"    _setattr(self, '_key', ({key}))")
     namespace = {"_setattr": object.__setattr__, "_index": index, "_defaults": cls.__dict__}
     exec(compile("\n".join(lines), f"<{cls.__qualname__}.__init__>", "exec"), namespace)

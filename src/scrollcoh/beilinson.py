@@ -126,9 +126,13 @@ class BeilinsonTable:
     left to right and rows q = size-1 .. 0 from top to bottom; diagonal
     means q = j, the positions that survive for Ulrich input.
 
-    The table keeps a read-only copy of ``entries``.  Label tuples of another
-    length than ``shifts``, a key outside size x size, or an entry that is
-    not a nonnegative integer raise ValueError.
+    The table keeps a read-only copy of ``entries`` in canonical form: zero
+    entries dropped, keys as ints and the rest in (j, q) order, so that
+    tables differing only in explicit zeros, key types such as 1.0 or True,
+    or insertion order are equal, hash equal and read alike; readers take
+    that order as stored.  Label tuples of another length than ``shifts``,
+    a key outside size x size, or an entry that is not a nonnegative
+    integer raise ValueError, zero entries included.
     """
 
     shifts: tuple[int, ...]
@@ -139,16 +143,18 @@ class BeilinsonTable:
     e_labels_tex: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        entries = dict(self.entries)
         size = len(self.shifts)
         if any(len(labels) != size for labels in (self.f_labels, self.e_labels,
                                                    self.f_labels_tex, self.e_labels_tex)):
             raise ValueError(f"a table with {size} shifts needs {size} labels in each row")
-        for (j, q), v in self.entries.items():
+        for (j, q), v in entries.items():
             if j not in range(size) or q not in range(size):
                 raise ValueError(f"entry at column {j}, row {q} is outside a table of size {size}")
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"entry {v!r} at column {j}, row {q} is not a dimension")
+        object.__setattr__(self, "entries", MappingProxyType(
+            {(int(j), int(q)): v for (j, q), v in sorted(entries.items()) if v}))
 
     @property
     def size(self) -> int:
@@ -158,7 +164,7 @@ class BeilinsonTable:
         return self.entries.get((index(j), index(q)), 0)
 
     def off_diagonal(self) -> list[tuple[int, int, int]]:
-        return sorted((j, q, v) for (j, q), v in self.entries.items() if q != j)
+        return [(j, q, v) for (j, q), v in self.entries.items() if q != j]
 
     @property
     def is_diagonal(self) -> bool:
@@ -171,7 +177,7 @@ class BeilinsonTable:
             "f_labels": list(self.f_labels),
             "e_labels": list(self.e_labels),
             "entries": [{"j": j, "q": q, "h": v}
-                        for (j, q), v in sorted(self.entries.items())],
+                        for (j, q), v in self.entries.items()],
             "diagonal": self.is_diagonal,
         }
 
@@ -229,8 +235,9 @@ def _profile_int(record: dict, name: str) -> int:
 
 
 def _profile_entries(profile, size: int, n: int | None = None) -> dict[tuple[int, int], int]:
-    """Nonzero entries of a size x size table from a profile
-    {"n": ..., "entries": [{"j", "q", "h"}, ...]}, summing repeated slots.
+    """Entries of a size x size table from a profile
+    {"n": ..., "entries": [{"j", "q", "h"}, ...]}, summing repeated slots;
+    the table drops the zeros.
 
     Parsing is strict: the profile and each record must be JSON objects,
     the entries a list, and every number a genuine integer (no bools,
@@ -254,8 +261,7 @@ def _profile_entries(profile, size: int, n: int | None = None) -> dict[tuple[int
             raise ValueError(f"profile entry out of range: j={j}, q={q}")
         if hval < 0:
             raise ValueError("profile dimensions must be nonnegative")
-        if hval:
-            entries[(j, q)] = entries.get((j, q), 0) + hval
+        entries[(j, q)] = entries.get((j, q), 0) + hval
     return entries
 
 
@@ -272,7 +278,7 @@ def _read_diagonal(table: BeilinsonTable, columns) -> tuple[int, ...]:
     weight anywhere else raises NotDiagonalError naming the offending slot."""
     slots = {j: i for i, j in enumerate(columns)}
     result = [0] * len(slots)
-    for (j, q), v in sorted(table.entries.items()):
+    for (j, q), v in table.entries.items():
         if q != j:
             raise NotDiagonalError(f"entry {v} off the diagonal at column {j}, row {q}")
         if j not in slots:

@@ -7,7 +7,8 @@ Bott regimes with enumerated tableaux, across the two line-bundle sides of
 hom_upper_bound and across its two Koszul chases, each coresolving chase
 against the resolving chase of its Serre dual pair, Hom and Ext of boundary
 and zero atoms against their omega_atom twins, Hom bounds against those of
-the pair twisted by a common divisor, the Kronecker report on random
+the pair twisted by a common divisor, the homvanish suite against a direct
+Hom bound of each pair it checks, the Kronecker report on random
 collections against a brute-force oracle in every degree, the Koszul and
 chase terms against the constructor's normal form, the checked size of a
 packed convolution against the integers it holds, Ext tables against the
@@ -34,7 +35,7 @@ from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
                        type_sheaf)
-from scrollcoh import homext, p1
+from scrollcoh import homext, p1, verify
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 from test_cli import _clear_package_caches
 
@@ -181,6 +182,20 @@ def test_hom_bounds_depend_only_on_the_twist_difference(S, data, a, b, c, d, u, 
     D, E, L = DivClass(a, b), DivClass(c, d), DivClass(u, v)
     assert (hom_upper_bound(S, Atom(p, D + L), Atom(q, E + L))
             == hom_upper_bound(S, Atom(p, D), Atom(q, E)))
+
+
+@settings(deadline=None)
+@given(scrolls)
+def test_homvanish_reads_each_pair_as_its_own_hom_bound(S):
+    # the Hom(F_i, F_j) pairs reuse the first family's tables, so n(n + 1)
+    # chases answer all 3n(n + 1)/2 pairs, each reported under its own tag
+    pairs = list(verify.required_hom_pairs(S))
+    failures = [{"pair": tag, "bound": list(table.bound(0))}
+                for x, y, tag in pairs if (table := hom_upper_bound(S, x, y)).hi(0) != 0]
+    with mock.patch.object(verify, "hom_upper_bound", wraps=hom_upper_bound) as chase:
+        got = verify.homvanish(S)
+    assert got == (not failures, {"checked": len(pairs), "failures": failures})
+    assert chase.call_count == S.n * (S.n + 1)
 
 
 def _kronecker_oracle(S, e, f):

@@ -10,7 +10,9 @@ import operator
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -73,6 +75,36 @@ def test_table_entries_are_read_only():
         if isinstance(table, BeilinsonTable):
             with pytest.raises(TypeError):
                 table.entries[(0, 0)] = 1
+
+
+@pytest.mark.parametrize("obj", _public_values(), ids=lambda v: type(v).__name__)
+def test_rebuilt_from_its_fields_equals_and_hashes_alike(obj):
+    rebuilt = type(obj)(*(getattr(obj, n) for n in _fields(type(obj))))
+    assert rebuilt == obj and hash(rebuilt) == hash(obj)
+
+
+def _table(entries):
+    return BeilinsonTable((0, 1), ("a", "b"), ("c", "d"), entries, ("A", "B"), ("C", "D"))
+
+
+@pytest.mark.parametrize("variants", [
+    [{(1, 0): 0, (1, 1): 1}, {(1, 1): 1}, {(1, 1): 1, (1, 0): 0}, {(0, 1): 0, (1, 1): 1}],
+    [{(0, 1): 2, (1, 1): 1, (0, 0): 3}, {(1, 1): 1, (0, 0): 3, (0, 1): 2},
+     {(1, 0): 0, (0, 0): 3, (1, 1): 1, (0, 1): 2}],
+    [{(0, 0): 2, (1, 1): 1}, {(1.0, True): 1, (False, 0.0): 2}],
+], ids=["explicit-zeros", "insertion-order", "key-types"])
+def test_tables_differing_in_zeros_order_or_key_types_are_one_table(variants):
+    # the table keeps only nonzero entries, keyed by ints, in (j, q) order;
+    # repr tells 1.0 and True from 1 where == does not
+    first, *rest = map(_table, variants)
+    assert list(first.entries) == sorted(first.entries) and all(first.entries.values())
+    for table in rest:
+        assert table == first and hash(table) == hash(first) and repr(table) == repr(first)
+        assert repr(table.to_payload()) == repr(first.to_payload())
+        assert table.is_diagonal == first.is_diagonal
+        assert table.off_diagonal() == first.off_diagonal()
+        assert table.render_md() == first.render_md()
+        assert table.render_latex() == first.render_latex()
 
 
 # -- dataclasses as the oracle -------------------------------------------------
@@ -286,6 +318,16 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
         class Misordered:
             a: int = 0
             b: int
+
+
+def test_a_mapping_field_is_keyed_by_its_items():
+    # written out here, where beilinson postpones its annotation to a string
+    @value
+    class Counts:
+        counts: Mapping[str, int]
+
+    one, other = Counts(MappingProxyType({"x": 1})), Counts(MappingProxyType({"x": 1}))
+    assert one == other and hash(one) == hash(other) and one._key == ((("x", 1),),)
 
 
 # -- the first construction, in a fresh interpreter ---------------------------
