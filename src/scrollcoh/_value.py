@@ -8,8 +8,8 @@ signature, so Python's own call protocol binds the arguments and raises
 ``TypeError`` on a bad call; its file name names the class, for profiles and
 tracebacks; it reads each field annotated ``int`` with ``operator.index``,
 so ``1.5`` or ``"2"`` raises ``TypeError`` and ``True`` is stored as ``1``,
-and keys each field annotated ``Mapping`` by the tuple of its items, so a
-class whose ``__post_init__`` stores a mapping in one order hashes too.
+and keys each field annotated ``Mapping`` by the frozenset of its items, so
+such a value hashes and, as a dict compares, ignores the order of its items.
 It is compiled on the class's first construction, not when the decorator
 runs: each command line call is a fresh process that constructs only some of
 the classes, and importing the package then compiles none.  The other
@@ -59,7 +59,7 @@ def _constructor(cls, fields):
     # def __init__(self, a, b=<default>): read the int fields with index, set
     # the fields, call __post_init__ if the class defines one, and store the
     # key: the field tuple, read back if __post_init__ may have normalised it,
-    # with each Mapping field's items in place of the mapping.
+    # with the frozenset of each Mapping field's items in place of the mapping.
     params = "".join(f", {n}=_defaults[{n!r}]" if n in cls.__dict__ else f", {n}"
                      for n in fields)
     lines = [f"def __init__(self{params}):"]
@@ -68,7 +68,7 @@ def _constructor(cls, fields):
     read = "self." if "__post_init__" in cls.__dict__ else ""
     if read:
         lines.append("    self.__post_init__()")
-    key = "".join(f"tuple({read}{n}.items()), " if _bare(kind) == "Mapping" else f"{read}{n}, "
+    key = "".join(f"frozenset({read}{n}.items()), " if _bare(kind) == "Mapping" else f"{read}{n}, "
                   for n, kind in fields.items())
     lines.append(f"    _setattr(self, '_key', ({key}))")
     namespace = {"_setattr": object.__setattr__, "_index": index, "_defaults": cls.__dict__}

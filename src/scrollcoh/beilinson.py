@@ -210,10 +210,10 @@ def _assemble(e: Collection, f: Collection, entries: dict) -> BeilinsonTable:
 
 
 def _grid(columns) -> dict[tuple[int, int], int]:
-    """The nonzero entries {(j, m - k_j): h^m} of a Beilinson table whose
-    column j is the cohomology table given with its shift k_j."""
+    """The entries {(j, m - k_j): h^m} of a Beilinson table whose column j
+    is the cohomology table given with its shift k_j."""
     return {(j, m - shift): v for j, (table, shift) in enumerate(columns)
-            for m, v in enumerate(table.values()) if v}
+            for m, v in enumerate(table.values())}
 
 
 def beilinson_table(scroll: Scroll, sheaf: FormalSheaf) -> BeilinsonTable:

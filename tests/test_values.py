@@ -321,13 +321,17 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
 
 
 def test_a_mapping_field_is_keyed_by_its_items():
-    # written out here, where beilinson postpones its annotation to a string
+    # written out here, where beilinson postpones its annotation to a string;
+    # no __post_init__ fixes the order of the items, and the key ignores it
     @value
     class Counts:
         counts: Mapping[str, int]
 
-    one, other = Counts(MappingProxyType({"x": 1})), Counts(MappingProxyType({"x": 1}))
-    assert one == other and hash(one) == hash(other) and one._key == ((("x", 1),),)
+    one = Counts(MappingProxyType({"x": 1, "y": 2}))
+    other = Counts(MappingProxyType({"y": 2, "x": 1}))
+    assert one == other and hash(one) == hash(other)
+    assert one._key == (frozenset({("x", 1), ("y", 2)}),)
+    assert Counts(MappingProxyType({"x": 1})) != one
 
 
 # -- the first construction, in a fresh interpreter ---------------------------
