@@ -132,7 +132,8 @@ class BeilinsonTable:
     or insertion order are equal, hash equal and read alike; readers take
     that order as stored.  Label tuples of another length than ``shifts``,
     a key outside size x size, or an entry that is not a nonnegative
-    integer raise ValueError, zero entries included.
+    integer raise ValueError, zero entries included; this is the one place
+    a slot is checked against the table's size, for profiles too.
     """
 
     shifts: tuple[int, ...]
@@ -225,52 +226,44 @@ def beilinson_table(scroll: Scroll, sheaf: FormalSheaf) -> BeilinsonTable:
                                  for em in e))
 
 
-def _profile_int(record: dict, name: str) -> int:
-    if name not in record:
-        raise ValueError(f"profile record lacks {name!r}")
-    val = record[name]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ValueError(f"profile field {name!r} must be an integer, got {val!r}")
-    return val
+def _profile_entries(profile, n: int | None = None) -> dict[tuple[int, int], int]:
+    """Entries {(j, q): h} of a profile {"n": ..., "entries": [{"j", "q",
+    "h"}, ...]}, repeated slots summed; the table checks each slot against
+    its size and drops the zeros.
 
-
-def _profile_entries(profile, size: int, n: int | None = None) -> dict[tuple[int, int], int]:
-    """Entries of a size x size table from a profile
-    {"n": ..., "entries": [{"j", "q", "h"}, ...]}, summing repeated slots;
-    the table drops the zeros.
-
-    Parsing is strict: the profile and each record must be JSON objects,
-    the entries a list, and every number a genuine integer (no bools,
-    floats or strings).  A present "n" must match ``n`` unless that is None.
+    The reader checks the JSON shape and nothing the table checks: an object
+    with no keys but "n" and "entries", each entry an object with exactly the
+    keys "j", "q" and "h", every number a genuine int (no bools, floats or
+    strings), every h nonnegative, and a present "n" equal to ``n`` unless
+    that is None.  Each refusal is a ValueError naming the profile.
     """
-    if not isinstance(profile, dict):
-        raise ValueError("a profile must be a JSON object")
-    if "n" in profile:
-        pn = _profile_int(profile, "n")
-        if n is not None and pn != n:
-            raise ValueError(f"profile is for n = {pn}, scroll has n = {n}")
+    if not isinstance(profile, dict) or not profile.keys() <= {"n", "entries"}:
+        raise ValueError("a profile must be a JSON object with no keys but 'n' and 'entries'")
     records = profile.get("entries", [])
-    if not isinstance(records, list):
-        raise ValueError("profile entries must be a list")
+    if not isinstance(records, list) or any(
+            not isinstance(rec, dict) or rec.keys() != {"j", "q", "h"} for rec in records):
+        raise ValueError("profile entries must be a list of JSON objects with exactly "
+                         "the keys 'j', 'q' and 'h'")
+    fields = [("n", profile["n"])] if "n" in profile else []
+    for name, val in fields + [item for rec in records for item in rec.items()]:
+        if type(val) is not int:
+            raise ValueError(f"profile field {name!r} must be an integer, got {val!r}")
+    if n is not None and profile.get("n", n) != n:
+        raise ValueError(f"profile is for n = {profile['n']}, scroll has n = {n}")
     entries: dict[tuple[int, int], int] = {}
     for rec in records:
-        if not isinstance(rec, dict):
-            raise ValueError("each profile entry must be a JSON object")
-        j, q, hval = (_profile_int(rec, name) for name in ("j", "q", "h"))
-        if not (0 <= j < size and 0 <= q < size):
-            raise ValueError(f"profile entry out of range: j={j}, q={q}")
-        if hval < 0:
+        if rec["h"] < 0:
             raise ValueError("profile dimensions must be nonnegative")
-        entries[(j, q)] = entries.get((j, q), 0) + hval
+        slot = rec["j"], rec["q"]
+        entries[slot] = entries.get(slot, 0) + rec["h"]
     return entries
 
 
 def beilinson_table_from_profile(scroll: Scroll, profile: dict) -> BeilinsonTable:
     """Table from caller-supplied entries {"j", "q", "h"} with q the spectral
     row as printed; omitted entries are zero."""
-    entries = _profile_entries(profile, 2 * scroll.n + 2, scroll.n)
     e, f = build_collections(scroll)
-    return _assemble(e, f, entries)
+    return _assemble(e, f, _profile_entries(profile, scroll.n))
 
 
 def _read_diagonal(table: BeilinsonTable, columns) -> tuple[int, ...]:

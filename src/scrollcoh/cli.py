@@ -119,13 +119,14 @@ def _divisor_from(args) -> DivClass:
 def _load_profile(path: str) -> dict:
     import json  # here and in main: only JSON read or written loads it
 
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read(MAX_PROFILE_CHARS + 1)  # one past the limit, never the whole file
-    _check_limit("the profile length", len(text), "MAX_PROFILE_CHARS", MAX_PROFILE_CHARS)
     try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read(MAX_PROFILE_CHARS + 1)  # one past the limit, never the whole file
+        _check_limit("the profile length", len(text), "MAX_PROFILE_CHARS", MAX_PROFILE_CHARS)
         return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"profile {path} is nested too deeply to parse") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested past the decoder's limit
+        raise ValueError(f"profile {path} is not readable JSON: {exc}") from None
 
 
 def _frac(x) -> str:
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
                 out = (f"```json\n{dump}\n```" if args.format == "md"
                        else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
     except (IndeterminateError, ValueError, OSError) as exc:
-        # a usage error (_Parser.error) and json.JSONDecodeError are ValueErrors
+        # a usage error (_Parser.error) is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE if isinstance(exc, IndeterminateError) else EXIT_INVALID
     print(out)  # outside the try: a closed stdout is not an invalid input

@@ -77,7 +77,8 @@ def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> Cohom
     # Omega^q(D + E) is the Hom into O(D), so each line O(L) of that resolution
     # becomes the exact atom Omega^q(L).
     hom = _hom_atom(scroll, source, Atom(0, target.twist))
-    terms = [FormalSheaf._normal(tuple((Atom._normal(hom.p, a.twist), m) for a, m in piece.terms))
+    # one p, and the twists in each term's own order: normal, so _normal skips the sort
+    terms = [FormalSheaf._normal(tuple((Atom(hom.p, a.twist), m) for a, m in piece.terms))
              for piece in koszul_resolution(scroll, target.p, hom.twist)]
     return chase_bounds(scroll, terms, solve="cokernel")
 
@@ -85,6 +86,7 @@ def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> Cohom
 def _chase_coresolving_source(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     # Dualising the source's Koszul resolution coresolves its dual; tensoring
     # with the target keeps every term computable, its fibre twists reversed.
+    # Reversed, each term lists its Hom atoms' twists ascending: _normal skips the sort.
     terms = [FormalSheaf._normal(tuple((_hom_atom(scroll, atom, target), mult)
                                        for atom, mult in reversed(piece.terms)))
              for piece in reversed(koszul_resolution(scroll, source.p, source.twist))]

@@ -119,7 +119,7 @@ def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf
     if not 0 <= p <= n:
         raise ValueError("relative differentials need 0 <= p <= n")
     # _pairs lists each term's fibre degrees distinct and ascending: built normal
-    return [FormalSheaf._normal(tuple((Atom._normal(0, DivClass(div.h - k, div.f + w)), c)
+    return [FormalSheaf._normal(tuple((Atom(0, DivClass(div.h - k, div.f + w)), c)
                                       for w, c in _pairs(_elementary_sums(scroll.degrees, k))))
             for k in range(n + 1, p, -1)]
 

@@ -98,7 +98,7 @@ class Scroll:
 
     @property
     def bundle(self) -> SplitBundle:
-        return SplitBundle._normal(self.degrees)
+        return SplitBundle(self.degrees)
 
     @property
     def canonical(self) -> DivClass:

@@ -99,7 +99,7 @@ class FormalSheaf:
 
     def twist(self, div: DivClass) -> "FormalSheaf":
         # one divisor added to every atom keeps the atoms distinct and in order
-        return FormalSheaf._normal(tuple((Atom._normal(a.p, a.twist + div), m)
+        return FormalSheaf._normal(tuple((Atom(a.p, a.twist + div), m)
                                          for a, m in self.terms))
 
 

@@ -44,13 +44,8 @@ class CohomTable:
 
     @classmethod
     def exact(cls, values) -> "CohomTable":
-        # checked here once, so the table skips __post_init__'s second pass
-        vals = tuple(map(index, values))
-        if vals and min(vals) < 0:
-            raise ValueError(f"invalid dimension bound [{min(vals)}, {min(vals)}]")
-        table = cls._normal(tuple(zip(vals, vals)), sum(vals[::2]) - sum(vals[1::2]))
-        object.__setattr__(table, "_vals", vals)
-        return table
+        vals = tuple(values)  # __post_init__ reads each with index
+        return cls(tuple(zip(vals, vals)), sum(vals[::2]) - sum(vals[1::2]))
 
     @classmethod
     def zero(cls, length: int) -> "CohomTable":

@@ -88,7 +88,8 @@ def classify(scroll: Scroll, sheaf: FormalSheaf | None = None,
     """Filtration multiplicities of an Ulrich bundle.
 
     Formal atom sums are verified first and tabulated after the -H twist;
-    profiles are taken at the caller's word and only read off the diagonal.
+    profiles are taken at the caller's word and only read off the diagonal,
+    which must hold some weight.
     """
     if (sheaf is None) == (profile is None):
         raise ValueError("classify needs exactly one of a sheaf or a profile")
@@ -99,7 +100,10 @@ def classify(scroll: Scroll, sheaf: FormalSheaf | None = None,
         table = beilinson_table(scroll, sheaf.twist(-H))
     else:
         table = beilinson_table_from_profile(scroll, profile)
-    return diagonal_type(scroll, table)
+    mults = diagonal_type(scroll, table)
+    if not any(mults):  # only from a profile: the zero sheaf is not Ulrich
+        raise ValueError("the profile's diagonal is empty: no block has positive multiplicity")
+    return mults
 
 
 @value
@@ -228,7 +232,7 @@ def veronese_table(dim: int, profile: dict | None = None,
         p, k = atom
         entries = _grid((pn_omega_cohomology(dim, p, k - j), 0) for j in range(size))
     else:
-        entries = _profile_entries(profile, size)
+        entries = _profile_entries(profile)
     f_plain, f_tex, e_plain, e_tex = _pn_labels(dim)
     return BeilinsonTable(shifts=(0,) * size, f_labels=f_plain, e_labels=e_plain,
                           entries=entries, f_labels_tex=f_tex, e_labels_tex=e_tex)

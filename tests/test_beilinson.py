@@ -202,6 +202,24 @@ def test_profile_ingestion_and_validation():
         beilinson_table_from_profile(S, {"entries": [{"j": 0, "q": 0, "h": -1}]})
 
 
+def test_payload_entries_read_back_as_a_profile_give_the_same_table():
+    # to_payload's entries are a profile's: every table of a type with
+    # multiplicities <= 2, before and after the -H twist, and every Veronese
+    # table of an atom twisted by at most 3
+    for degrees in [(1, 2), (1, 1, 2), (1, 2, 3), (2, 2, 3, 3)]:
+        S = Scroll(degrees)
+        for mults in product(range(3), repeat=S.n + 1):
+            sheaf = type_sheaf(S, mults)
+            for table in (beilinson_table(S, sheaf), beilinson_table(S, sheaf.twist(-H))):
+                profile = {"n": S.n, "entries": table.to_payload()["entries"]}
+                assert beilinson_table_from_profile(S, profile) == table, (degrees, mults)
+    for dim in (2, 3):
+        for p, k in product(range(dim + 1), range(-3, 4)):
+            table = veronese_table(dim, atom=(p, k))
+            profile = {"entries": table.to_payload()["entries"]}
+            assert veronese_table(dim, profile=profile) == table, (dim, p, k)
+
+
 def test_diagonal_type_rejects_stray_entries():
     S = Scroll((1, 1, 1))
     off = beilinson_table_from_profile(S, {"entries": [{"j": 3, "q": 1, "h": 1}]})

@@ -204,8 +204,14 @@ _BAD_PROFILES = {
     "h-float": {"entries": [{"j": 1, "q": 1, "h": 2.0}]},
     "j-and-h-coerced": {"entries": [{"j": 1.7, "q": 1, "h": True}]},
     "h-missing": {"entries": [{"j": 1, "q": 1}]},
+    # a misspelt key must not read as an absent one, that is, as an empty table
+    "unknown-key": {"n": 1, "entires": []},
+    "unknown-record-key": {"entries": [{"j": 1, "q": 1, "h": 1, "H": 2}]},
     # raw text, past the JSON decoder's nesting limit: json.dumps cannot write it
     "nested-too-deeply": "[" * 100_000 + "]" * 100_000,
+    # raw text that is no JSON at all
+    "empty-file": "",
+    "not-json": "{",
 }
 
 
@@ -219,6 +225,24 @@ def test_malformed_profile_exits_one(capsys, tmp_path, command, name):
     code, out, err = run(capsys, command, *where, "--profile", str(profile))
     assert code == 1 and not out
     assert err.startswith("error: ") and "profile" in err and "Traceback" not in err
+
+
+def test_profile_that_is_not_utf8_names_the_profile(capsys, tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_bytes(b"\xff{}")
+    code, out, err = run(capsys, "classify", "--scroll", "1,2", "--profile", str(profile))
+    assert code == 1 and not out
+    assert err.startswith(f"error: profile {profile} is not readable JSON: ")
+
+
+def test_classify_names_an_empty_profile_diagonal(capsys, tmp_path):
+    # a profile with no weight is no Ulrich type; the refusal names the
+    # profile's diagonal, not the rank-zero slope a type listing would take
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"entries": []}))
+    code, out, err = run(capsys, "classify", "--scroll", "1,1,2", "--profile", str(profile))
+    assert code == 1 and not out
+    assert err == "error: the profile's diagonal is empty: no block has positive multiplicity\n"
 
 
 def test_profile_length_limit(capsys, tmp_path):

@@ -18,8 +18,9 @@ round trip, the arithmetic of dimension tables, their tightening against the
 integer points it must keep, and the split-bundle constructor, cohomology,
 twist and dual against their per-summand formulas, Serre duality on the line,
 the bundles and twisted sheaves the calculus builds against the constructor's
-normal form, and the answers to a batch of queries with warm caches against
-those from cold ones."""
+normal form, the answers to a batch of queries with warm caches against
+those from cold ones, and the profile reader against the JSON shape it
+accepts."""
 
 from itertools import product
 from unittest import mock
@@ -36,6 +37,7 @@ from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass,
                        omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
                        type_sheaf)
 from scrollcoh import homext, p1, verify
+from scrollcoh.beilinson import _profile_entries
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
 from test_cli import _clear_package_caches
 
@@ -525,3 +527,57 @@ def test_twisted_sheaves_are_what_the_constructor_makes(terms, div):
     twisted = sheaf.twist(div)
     want = FormalSheaf(tuple((Atom(a.p, a.twist + div), m) for a, m in sheaf.terms))
     assert twisted == want and hash(twisted) == hash(want) and twisted._key == want._key
+
+
+# JSON-like values: genuine ints with negatives, and the bools, floats,
+# strings and nulls a profile must refuse in their place
+_json_scalars = st.one_of(st.integers(-2, 7), st.booleans(), st.floats(),
+                          st.text(max_size=2), st.none())
+# well-formed records, h now and then negative, and records with missing or
+# extra keys or with other values than ints
+_good_records = st.fixed_dictionaries({"j": st.integers(-1, 7), "q": st.integers(-1, 7),
+                                       "h": st.integers(-1, 3)})
+_records = st.one_of(
+    _good_records,
+    st.fixed_dictionaries({}, optional={"j": _json_scalars, "q": _json_scalars,
+                                        "h": _json_scalars, "H": _json_scalars}),
+    _json_scalars, st.lists(_json_scalars, max_size=3))
+# profiles of the right shape (h aside), and then anything near them
+_profile_likes = st.one_of(
+    st.fixed_dictionaries({}, optional={"n": st.integers(0, 3),
+                                        "entries": st.lists(_good_records, max_size=4)}),
+    st.fixed_dictionaries({}, optional={"n": st.integers(0, 3) | _json_scalars,
+                                        "entries": st.lists(_records, max_size=4) | _json_scalars,
+                                        "entires": st.lists(_records, max_size=2)}),
+    _json_scalars, st.lists(_records, max_size=2))
+
+
+def _is_profile(obj, n) -> bool:
+    # the reference shape: only "n" and "entries"; "n", if present, an int
+    # equal to n unless n is None; the entries a list of records with exactly
+    # the int fields j, q and h, each h nonnegative
+    if not isinstance(obj, dict) or not set(obj) <= {"n", "entries"}:
+        return False
+    if "n" in obj and (type(obj["n"]) is not int or n is not None and obj["n"] != n):
+        return False
+    records = obj.get("entries", [])
+    return isinstance(records, list) and all(
+        isinstance(rec, dict) and set(rec) == {"j", "q", "h"}
+        and all(type(v) is int for v in rec.values()) and rec["h"] >= 0 for rec in records)
+
+
+@example({"n": 1, "entires": []}, 1)
+@example({"entries": [{"j": 1, "q": 1, "h": 1, "H": 2}]}, None)
+@given(_profile_likes, st.none() | st.integers(0, 3))
+def test_the_profile_reader_accepts_exactly_the_profile_shape(obj, n):
+    # a profile gives its records summed slot by slot, slots outside any
+    # table included (the table refuses those); anything else raises
+    # ValueError naming the profile
+    if _is_profile(obj, n):
+        want: dict = {}
+        for rec in obj.get("entries", []):
+            want[rec["j"], rec["q"]] = want.get((rec["j"], rec["q"]), 0) + rec["h"]
+        assert _profile_entries(obj, n) == want
+    else:
+        with pytest.raises(ValueError, match="profile"):
+            _profile_entries(obj, n)
