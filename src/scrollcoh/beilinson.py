@@ -195,16 +195,17 @@ class BeilinsonTable:
                            [[f"${self.e_labels_tex[j]}$" for j in cols]])
 
 
-def _assemble(e: Collection, f: Collection, entries: dict) -> BeilinsonTable:
+def _frame(e: Collection, f: Collection) -> dict:
+    """The shifts and labels of the table on the collections e and f: every
+    field but its entries."""
     def shifted(member: CollectionMember, latex: bool) -> str:
         tag = atom_label(member.atom, latex)
         return f"{tag}[{member.shift}]" if member.shift else tag
 
-    return BeilinsonTable(
+    return dict(
         shifts=tuple(m.shift for m in e),
         f_labels=tuple(atom_label(m.atom) for m in f),
         e_labels=tuple(shifted(m, False) for m in e),
-        entries=entries,
         f_labels_tex=tuple(atom_label(m.atom, True) for m in f),
         e_labels_tex=tuple(shifted(m, True) for m in e),
     )
@@ -222,8 +223,8 @@ def beilinson_table(scroll: Scroll, sheaf: FormalSheaf) -> BeilinsonTable:
     spectral row q = m - k_j.  Atom sums always evaluate exactly; anything
     indeterminate would abort with a distinct error rather than guess."""
     e, f = build_collections(scroll)
-    return _assemble(e, f, _grid((sheaf_cohomology(scroll, sheaf.twist(em.atom.twist)), em.shift)
-                                 for em in e))
+    return BeilinsonTable(entries=_grid((sheaf_cohomology(scroll, sheaf.twist(em.atom.twist)),
+                                         em.shift) for em in e), **_frame(e, f))
 
 
 def _profile_entries(profile, n: int | None = None) -> dict[tuple[int, int], int]:
@@ -249,7 +250,7 @@ def _profile_entries(profile, n: int | None = None) -> dict[tuple[int, int], int
         if type(val) is not int:
             raise ValueError(f"profile field {name!r} must be an integer, got {val!r}")
     if n is not None and profile.get("n", n) != n:
-        raise ValueError(f"profile is for n = {profile['n']}, scroll has n = {n}")
+        raise ValueError(f"profile is for n = {profile['n']}, the table is for n = {n}")
     entries: dict[tuple[int, int], int] = {}
     for rec in records:
         if rec["h"] < 0:
@@ -259,11 +260,22 @@ def _profile_entries(profile, n: int | None = None) -> dict[tuple[int, int], int
     return entries
 
 
+def _profile_table(profile, n: int, **frame) -> BeilinsonTable:
+    """The table with the given frame (every field but its entries) and the
+    entries of ``profile`` for n: the one path from a profile to a table.
+    The table checks each slot against its size, and its refusal is raised
+    in the profile's name."""
+    entries = _profile_entries(profile, n)
+    try:
+        return BeilinsonTable(entries=entries, **frame)
+    except ValueError as exc:
+        raise ValueError(f"profile {exc}") from None
+
+
 def beilinson_table_from_profile(scroll: Scroll, profile: dict) -> BeilinsonTable:
     """Table from caller-supplied entries {"j", "q", "h"} with q the spectral
     row as printed; omitted entries are zero."""
-    e, f = build_collections(scroll)
-    return _assemble(e, f, _profile_entries(profile, scroll.n))
+    return _profile_table(profile, scroll.n, **_frame(*build_collections(scroll)))
 
 
 def _read_diagonal(table: BeilinsonTable, columns) -> tuple[int, ...]:

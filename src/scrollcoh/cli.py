@@ -4,8 +4,8 @@ Scroll and divisor inputs are parsed from flags, dispatched to the exact
 engines, and the results emitted as JSON (default), Markdown or LaTeX; the
 numeric content is identical across formats and repeated invocations are
 byte-identical.  Results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 invalid input, 2 an indeterminate interval where exactness was
-required, 3 a verification suite failure, 141 a stdout closed early.
+0 success, 1 invalid input, 3 a verification suite failure, 141 a stdout
+closed early.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .ulrich import (MAX_TYPES, block, block_atom, classify, enumerate_types,
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_INDETERMINATE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
@@ -57,7 +56,7 @@ _DIV_TERM = r"([+-]?)([0-9]*)([HF])"
 
 class _Parser(argparse.ArgumentParser):
     # a usage error is invalid input: it raises into main's one except, which
-    # exits 1; code 2 is reserved for indeterminate results
+    # exits 1
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
 
@@ -138,8 +137,9 @@ def _div_payload(div: DivClass) -> dict:
     return {"h": div.h, "f": div.f}
 
 
-# Each command maps (args, scroll) to (result, md, latex); md or latex is
-# None where the command has no table of its own for that format.
+# Each command maps (args, scroll) to (result, md, latex): every command has
+# a Markdown table of its own, and latex is None where it has no LaTeX one
+# (blocks, classify, enumerate, verify), whose payload main prints verbatim.
 
 def _cmd_coh(args, scroll: Scroll):
     """line-coh and omega-coh: a line bundle is the case p = 0."""
@@ -315,12 +315,12 @@ def main(argv=None) -> int:
                 out = json.dumps(payload, sort_keys=True)
             else:
                 dump = json.dumps(payload, sort_keys=True, indent=2)
-                out = (f"```json\n{dump}\n```" if args.format == "md"
-                       else f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}")
+                out = f"\\begin{{verbatim}}\n{dump}\n\\end{{verbatim}}"
     except (IndeterminateError, ValueError, OSError) as exc:
-        # a usage error (_Parser.error) is a ValueError too
+        # a usage error (_Parser.error) is a ValueError too, and an interval
+        # read where an exact value is needed is refused like any other input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE if isinstance(exc, IndeterminateError) else EXIT_INVALID
+        return EXIT_INVALID
     print(out)  # outside the try: a closed stdout is not an invalid input
     if args.command == "verify" and not result["passed"]:
         return EXIT_VERIFY_FAILED

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import index
 
 from ._value import value
-from .beilinson import (BeilinsonTable, _grid, _profile_entries, _read_diagonal,
+from .beilinson import (BeilinsonTable, _grid, _profile_table, _read_diagonal,
                         beilinson_table, beilinson_table_from_profile,
                         diagonal_type)
 from .p1 import MAX_SUMMANDS, _check_limit
@@ -202,15 +202,18 @@ def enumerate_types(scroll: Scroll, rank: int | None = None,
         rest[pos + 2:] = [rest[pos + 1]] * (m - 1 - pos)
 
 
-def _pn_labels(dim: int) -> tuple[tuple[str, ...], tuple[str, ...],
-                                  tuple[str, ...], tuple[str, ...]]:
-    f_plain = ["O"] + [f"Omega^{t}({t})" for t in range(1, dim)] + ["O(-1)"]
-    f_tex = ([r"\mathcal{O}"]
-             + [rf"\Omega^{{{t}}}({t})" for t in range(1, dim)]
-             + [r"\mathcal{O}(-1)"])
-    e_plain = ["O"] + [f"O(-{j})" for j in range(1, dim + 1)]
-    e_tex = [r"\mathcal{O}"] + [rf"\mathcal{{O}}(-{j})" for j in range(1, dim + 1)]
-    return tuple(f_plain), tuple(f_tex), tuple(e_plain), tuple(e_tex)
+def _pn_frame(dim: int) -> dict:
+    """The shifts and labels of the Veronese table on P^dim: every field but
+    its entries."""
+    middle = range(1, dim)
+    return dict(
+        shifts=(0,) * (dim + 1),
+        f_labels=("O", *(f"Omega^{t}({t})" for t in middle), "O(-1)"),
+        e_labels=("O", *(f"O(-{j})" for j in range(1, dim + 1))),
+        f_labels_tex=(r"\mathcal{O}", *(rf"\Omega^{{{t}}}({t})" for t in middle),
+                      r"\mathcal{O}(-1)"),
+        e_labels_tex=(r"\mathcal{O}", *(rf"\mathcal{{O}}(-{j})" for j in range(1, dim + 1))),
+    )
 
 
 def veronese_table(dim: int, profile: dict | None = None,
@@ -221,21 +224,17 @@ def veronese_table(dim: int, profile: dict | None = None,
     differentials Omega^t(t), and O(-1) last); only dim 2 and 3 are
     supported.  Input is either atom=(p, k) for the twisted differential
     Omega^p(k), evaluated through the Bott dimensions, or an explicit
-    profile of {"j", "q", "h"} records.
+    profile of {"j", "q", "h"} records, whose "n", if present, must be dim.
     """
     if index(dim) not in (2, 3):
         raise ValueError("only the Veronese surface and threefold are supported")
     if (atom is None) == (profile is None):
         raise ValueError("need exactly one of an atom or a profile")
-    size = dim + 1
-    if atom is not None:
-        p, k = atom
-        entries = _grid((pn_omega_cohomology(dim, p, k - j), 0) for j in range(size))
-    else:
-        entries = _profile_entries(profile)
-    f_plain, f_tex, e_plain, e_tex = _pn_labels(dim)
-    return BeilinsonTable(shifts=(0,) * size, f_labels=f_plain, e_labels=e_plain,
-                          entries=entries, f_labels_tex=f_tex, e_labels_tex=e_tex)
+    if profile is not None:
+        return _profile_table(profile, dim, **_pn_frame(dim))
+    p, k = atom
+    return BeilinsonTable(entries=_grid((pn_omega_cohomology(dim, p, k - j), 0)
+                                        for j in range(dim + 1)), **_pn_frame(dim))
 
 
 def veronese_classify(table: BeilinsonTable) -> int:

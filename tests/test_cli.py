@@ -227,6 +227,34 @@ def test_malformed_profile_exits_one(capsys, tmp_path, command, name):
     assert err.startswith("error: ") and "profile" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_veronese_checks_a_present_profile_n_against_its_dim(capsys, tmp_path, dim):
+    # "n" is the table's, as on a scroll: P^dim reads "n": dim and refuses
+    # any other, the other Veronese dim and a far one, naming the profile
+    profile = tmp_path / "profile.json"
+    for n in (7, 5 - dim, dim):
+        profile.write_text(json.dumps({"n": n, "entries": [{"j": 1, "q": 1, "h": 1}]}))
+        code, out, err = run(capsys, "veronese", "--dim", str(dim), "--profile", str(profile))
+        if n == dim:
+            assert code == 0 and json.loads(out)["result"]["table"]["entries"], err
+        else:
+            assert code == 1 and not out
+            assert err == f"error: profile is for n = {n}, the table is for n = {dim}\n"
+
+
+@pytest.mark.parametrize("command", ["beilinson", "classify", "veronese"])
+@pytest.mark.parametrize("j, q", [(9, 1), (1, -1)])
+def test_a_slot_outside_the_table_is_refused_naming_the_profile(capsys, tmp_path,
+                                                                  command, j, q):
+    # the table checks the slot; the refusal is the profile's
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"entries": [{"j": j, "q": q, "h": 2}]}))
+    where, size = (["--dim", "2"], 3) if command == "veronese" else (["--scroll", "1,1,2"], 6)
+    code, out, err = run(capsys, command, *where, "--profile", str(profile))
+    assert code == 1 and not out
+    assert err == f"error: profile entry at column {j}, row {q} is outside a table of size {size}\n"
+
+
 def test_profile_that_is_not_utf8_names_the_profile(capsys, tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_bytes(b"\xff{}")

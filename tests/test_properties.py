@@ -2,7 +2,8 @@
 tableaux enumerated one by one, against the dict-based convolution and
 against the closed forms of its rank, total degree and extreme degrees, Serre
 duality of the pushforward engine on generated scrolls, its tables against
-the h^0 and h^1 of the pushforward it reads, and that pushforward against the
+the h^0 and h^1 of the pushforward it reads and against those read off the
+untwisted hook at a shifted sign boundary, and that pushforward against the
 Bott regimes with enumerated tableaux, across the two line-bundle sides of
 hom_upper_bound and across its two Koszul chases, each coresolving chase
 against the resolving chase of its Serre dual pair, Hom and Ext of boundary
@@ -83,6 +84,44 @@ def test_omega_cohomology_reads_the_pushforward(S, a, b):
         if q0 is not None:
             want[q0], want[q0 + 1] = P.h0, P.h1
         assert omega_cohomology(S, p, D).values() == tuple(want)
+
+
+# the largest m = |a| - p or |a| - (n - p) of the pushforward benchmark's
+# twists on scrolls of each n, whose fibre twists b span 3 * c either way
+_HOOK_M = {1: 60, 2: 60, 3: 30, 4: 20, 5: 12}
+
+
+def _h0_h1_off(dist, shift):
+    # h^0 and h^1 of the split bundle of these degree counts twisted by
+    # shift, read at the sign boundary moved by -shift, with no twist built
+    pairs = list(_pairs(dist))
+    return (sum(c * (d + shift + 1) for d, c in pairs if d >= -shift),
+            sum(c * (-d - shift - 1) for d, c in pairs if d <= -shift - 2))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=6).map(Scroll), st.data())
+def test_omega_cohomology_reads_the_untwisted_hook(S, data):
+    # a second route to the Leray table: the hook's degree counts, untwisted,
+    # read at a sign boundary shifted by the fibre twist b (by -b - 2 in the
+    # top regime, whose h^n and h^{n+1} are h^1 and h^0 by Serre duality on
+    # the line); the trace line is the unit distribution shifted by b
+    n = S.n
+    p = data.draw(st.integers(0, n), label="p")
+    m = data.draw(st.integers(1, _HOOK_M[n]), label="m")
+    span = 3 * S.c
+    b = data.draw(st.integers(-span, span), label="b")
+    regime = data.draw(st.sampled_from(["sections", "trace", "top"]), label="regime")
+    if regime == "sections":
+        a, q0, dist, shift = m + p, 0, _hook_sums(S.degrees, m, p), b
+    elif regime == "trace":
+        a, q0, dist, shift = 0, p, p1._UNIT, b
+    else:
+        a, q0, dist, shift = -m - (n - p), n, _hook_sums(S.degrees, m, n - p), -b - 2
+    h0, h1 = _h0_h1_off(dist, shift)
+    want = [0] * (n + 2)
+    want[q0], want[q0 + 1] = (h1, h0) if regime == "top" else (h0, h1)
+    assert omega_cohomology(S, p, DivClass(a, b)).values() == tuple(want)
 
 
 @given(scrolls, st.data(), twists, twists, twists, twists)

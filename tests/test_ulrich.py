@@ -261,6 +261,14 @@ def test_veronese_zero_profile():
     assert table.is_diagonal
 
 
+def test_veronese_profile_n_is_its_dim():
+    # a present "n" is checked on P^dim as on a scroll
+    assert veronese_table(2, profile={"n": 2, "entries": []}) == veronese_table(2, profile={})
+    for dim, n in ((2, 3), (3, 2), (2, 7)):
+        with pytest.raises(ValueError, match=f"profile is for n = {n}, the table is for n = {dim}"):
+            veronese_table(dim, profile={"n": n, "entries": []})
+
+
 def test_veronese_input_validation():
     with pytest.raises(ValueError):
         veronese_table(4, atom=(1, 1))

@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 from scrollcoh import CohomTable, Scroll, SplitBundle, UlrichVerdict, omega_cohomology
-from scrollcoh import verify
+from scrollcoh import p1, verify
 from scrollcoh.cli import SUITE_NAMES, main
-from scrollcoh.p1 import MAX_SUMMANDS
+from scrollcoh.p1 import MAX_SUMMANDS, hook_rank
 from test_cli import _clear_package_caches
 
 
@@ -48,6 +48,28 @@ def test_chi_oracle_checks_the_largest_bundle_it_lists(monkeypatch, degrees):
     _clear_package_caches()
     assert verify.chi_oracle(S)[0]
     assert max(ranks) == verify._largest_listed_hook(S)
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (1, 1, 2), (1, 2, 2, 3), (1, 1, 1, 1, 2)])
+def test_chi_oracle_convolves_no_hook_above_the_largest_it_lists(monkeypatch, degrees):
+    # the rank checked before the loop also bounds every hook the loop
+    # convolves, listed or not, so the check holds when a hook is read
+    # without listing its bundle; every cache cold
+    S = Scroll(degrees)
+    hooks = set()
+    hook_sums = p1._hook_sums
+
+    def recording(degs, m, p):
+        hooks.add((degs, m, p))
+        return hook_sums(degs, m, p)
+
+    monkeypatch.setattr(p1, "_hook_sums", recording)
+    _clear_package_caches()
+    hook_sums.cache_clear()
+    assert verify.chi_oracle(S)[0]
+    assert hooks
+    largest = verify._largest_listed_hook(S)
+    assert all(hook_rank(len(degs), m, p) <= largest for degs, m, p in hooks)
 
 
 def test_chi_oracle_admits_n_8_and_refuses_n_9():
