@@ -98,9 +98,10 @@ def _check_p(p: int, top: int, name: str) -> None:
 
 def _check_scroll(scroll: Scroll) -> None:
     """Refuse, before any table is built, a scroll too large for blocks,
-    beilinson, classify or verify: each builds the middle wedge of the
-    splitting bundle, the one of most summands, whose rank is checked against
-    the library's own MAX_SUMMANDS."""
+    beilinson, classify or verify: each does Theta(n^2) work or more in
+    tables of n + 2 entries.  The rank of the middle wedge of the splitting
+    bundle, the one of most summands, stands for that size and is checked
+    against the library's own MAX_SUMMANDS; not every command builds it."""
     n = scroll.n
     _check_limit("the middle wedge rank", hook_rank(n + 1, 1, (n + 1) // 2 - 1),
                  "MAX_SUMMANDS", MAX_SUMMANDS)

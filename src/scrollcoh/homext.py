@@ -1,14 +1,12 @@
 """Hom and Ext dimensions between atoms.
 
 Pairs with a line bundle on either side reduce to a single exact cohomology
-table.  Pairs of genuine relative differentials are bracketed by two
-independent Koszul chases, one resolving the target and one coresolving the
-dual of the source, and the intervals are intersected; nothing indeterminate
-is ever collapsed.  The coresolving chase of (s, t) is, bound for bound, the
-resolving chase of (t, s(K_S)) read top-down; it stays a coresolution because
-its pushforward queries overlap those of the resolving chase.  The Segre
-scroll additionally has a closed form for the first Ext group between shifted
-building blocks.
+table.  Pairs of genuine relative differentials are bracketed by one Koszul
+chase, which resolves the target, run twice: on (s, t), and on the Serre dual
+pair (t, s(K_S)) read top-down, since Ext^k(s, t) = Ext^{n+1-k}(t, s(K_S))^*.
+The intervals are intersected; nothing indeterminate is ever collapsed.  The
+Segre scroll additionally has a closed form for the first Ext group between
+shifted building blocks.
 """
 
 from __future__ import annotations
@@ -40,11 +38,12 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     """Bounds on dim Ext^k(source, target) = h^k(source^v x target).
 
     Exact whenever either side is a line bundle.  For two genuine relative
-    differentials the two Koszul chases run independently and their interval
-    tables are intersected; the Hom entry additionally gets the identity
-    lower bound 1 when source and target agree.  Entries the chases cannot
-    force stay intervals.  Both atoms are read as ``omega_atom`` builds them;
-    if either is the zero sheaf the table is zero, with no identity bound.
+    differentials the Koszul chase of (source, target) and that of its Serre
+    dual pair (target, source(K_S)), read top-down, are intersected; the Hom
+    entry additionally gets the identity lower bound 1 when source and target
+    agree.  Entries the chases cannot force stay intervals.  Both atoms are
+    read as ``omega_atom`` builds them; if either is the zero sheaf the table
+    is zero, with no identity bound.
     """
     source, target = (omega_atom(scroll, a.p, a.twist) for a in (source, target))
     if source is None or target is None:
@@ -53,8 +52,11 @@ def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
         hom = _hom_atom(scroll, source, target)
         table = omega_cohomology(scroll, hom.p, hom.twist)
     else:
+        # Serre duality on S reverses the pair's table: chi gains (-1)^(n+1)
+        mirror = _chase_resolving_target(scroll, target,
+                                         Atom(source.p, source.twist + scroll.canonical))
         table = intersect(_chase_resolving_target(scroll, source, target),
-                          _chase_coresolving_source(scroll, source, target))
+                          CohomTable(mirror.bounds[::-1], (-1) ** (scroll.n + 1) * mirror.chi))
     if source == target:
         (lo, hi), *rest = table.bounds
         if hi < 1:
@@ -81,16 +83,6 @@ def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> Cohom
     terms = [FormalSheaf._normal(tuple((Atom(hom.p, a.twist), m) for a, m in piece.terms))
              for piece in koszul_resolution(scroll, target.p, hom.twist)]
     return chase_bounds(scroll, terms, solve="cokernel")
-
-
-def _chase_coresolving_source(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
-    # Dualising the source's Koszul resolution coresolves its dual; tensoring
-    # with the target keeps every term computable, its fibre twists reversed.
-    # Reversed, each term lists its Hom atoms' twists ascending: _normal skips the sort.
-    terms = [FormalSheaf._normal(tuple((_hom_atom(scroll, atom, target), mult)
-                                       for atom, mult in reversed(piece.terms)))
-             for piece in reversed(koszul_resolution(scroll, source.p, source.twist))]
-    return chase_bounds(scroll, terms, solve="kernel")
 
 
 def segre_ext1(scroll: Scroll, i: int, j: int) -> int:

@@ -90,13 +90,18 @@ def omega_cohomology(scroll: Scroll, p: int, div: DivClass) -> CohomTable:
 
 
 def sheaf_cohomology(scroll: Scroll, sheaf: FormalSheaf) -> CohomTable:
-    """Cohomology of a genuine (nonnegative) atom sum; exact and additive."""
+    """Cohomology of a genuine (nonnegative) atom sum; exact and additive.  An
+    atom with 2p > n is read off its Serre dual, reversed, so the two share one
+    omega_cohomology entry: h^i(Omega^p(D)) = h^{n+1-i}(Omega^{n-p}(-D-2F))."""
     if not sheaf.is_effective:
         raise ValueError("cohomology needs nonnegative multiplicities")
-    vals = [0] * (scroll.n + 2)
+    n = scroll.n
+    vals = [0] * (n + 2)
     for atom, mult in sheaf.terms:
-        for i, v in enumerate(omega_cohomology(scroll, atom.p, atom.twist).values()):
-            vals[i] += mult * v
+        p, d = atom.p, atom.twist
+        coh = (omega_cohomology(scroll, p, d).values() if 2 * p <= n else
+               omega_cohomology(scroll, n - p, DivClass(-d.h, -d.f - 2)).values()[::-1])
+        vals = [x + mult * v for x, v in zip(vals, coh)]
     return CohomTable.exact(vals)
 
 

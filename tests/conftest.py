@@ -5,7 +5,8 @@ The oracles deliberately avoid the library's convolution shortcuts: multisets
 and tableaux are enumerated cell by cell so the fast paths have something
 independent to agree with.  Where counts grow too large to enumerate, the
 dict-based hook convolution, which keeps every count as its own int, checks
-the packed one.
+the packed one.  The coresolving Koszul chase checks the library's one chase
+read through Serre duality.
 """
 
 import signal
@@ -13,7 +14,8 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from scrollcoh import Scroll
+from scrollcoh import FormalSheaf, Scroll, chase_bounds, koszul_resolution
+from scrollcoh.homext import _hom_atom
 
 # the slowest test takes about 2 s on 2 vCPUs; a slow regression fails here
 # instead of hanging the run
@@ -133,3 +135,15 @@ def line_cohomology_oracle(scroll, div):
         rev = [d + scroll.c - b - 2 for d in brute_sym_degrees(scroll.degrees, -a - n - 1)]
         vals[n], vals[n + 1] = _h1(rev), _h0(rev)
     return tuple(vals)
+
+
+def coresolving_chase_oracle(scroll, source, target):
+    """Bounds on Ext^k(source, target) for two genuine differentials by the
+    route the library does not take: dualising the source's Koszul resolution
+    coresolves source^v, and tensoring it with the target makes each line O(L)
+    the atom _hom_atom(O(L), target), its fibre twist reversed.  The kernel
+    fold of chase_bounds then bounds the unknown on the left."""
+    terms = [FormalSheaf(tuple((_hom_atom(scroll, atom, target), mult)
+                               for atom, mult in piece.terms))
+             for piece in reversed(koszul_resolution(scroll, source.p, source.twist))]
+    return chase_bounds(scroll, terms, solve="kernel")

@@ -604,14 +604,15 @@ def test_main_never_freezes(capsys):
     assert gc.get_freeze_count() == 0
 
 
-# blocks, beilinson, classify and verify build the middle wedge of the
-# splitting bundle, C(n + 1, (n + 1) // 2) summands: 705432 at n = 21 and
-# 1352078, above MAX_SUMMANDS, at n = 22, where the CLI refuses before any
-# table is built.  homvanish reaches the library's MAX_SUMMANDS at once from
-# n = 9.  verify.chi_oracle owns its two limits and checks both before its
-# loop: its grid of n(2n+5)(2c+5) twists, 10003 on S(1, 711), against
-# MAX_TWISTS, then the largest bundle the grid lists against MAX_SUMMANDS,
-# 288288 at n = 8 and 1485120 at n = 9, refused at once.
+# blocks, beilinson, classify and verify do Theta(n^2) work or more in tables
+# of n + 2 entries, a size the CLI reads off the middle wedge of the splitting
+# bundle, C(n + 1, (n + 1) // 2) summands, though not every command builds it:
+# 705432 at n = 21 and 1352078, above MAX_SUMMANDS, at n = 22, where the CLI
+# refuses before any table is built.  homvanish reaches the library's
+# MAX_SUMMANDS at once from n = 9.  verify.chi_oracle owns its two limits and
+# checks both before its loop: its grid of n(2n+5)(2c+5) twists, 10003 on
+# S(1, 711), against MAX_TWISTS, then the largest bundle the grid lists
+# against MAX_SUMMANDS, 288288 at n = 8 and 1485120 at n = 9, refused at once.
 @pytest.mark.parametrize("argv,limit", [
     (["blocks", "--scroll", ones(23)], "MAX_SUMMANDS"),
     (["blocks", "--scroll", ones(5001)], "MAX_SUMMANDS"),

@@ -5,23 +5,24 @@ duality of the pushforward engine on generated scrolls, its tables against
 the h^0 and h^1 of the pushforward it reads and against those read off the
 untwisted hook at a shifted sign boundary, and that pushforward against the
 Bott regimes with enumerated tableaux, across the two line-bundle sides of
-hom_upper_bound and across its two Koszul chases, each coresolving chase
-against the resolving chase of its Serre dual pair, Hom and Ext of boundary
-and zero atoms against their omega_atom twins, Hom bounds against those of
-the pair twisted by a common divisor, the homvanish suite against a direct
-Hom bound of each pair it checks, the Kronecker report on random
-collections against a brute-force oracle in every degree, the Koszul and
-chase terms against the constructor's normal form, the checked size of a
-packed convolution against the integers it holds, Ext tables against the
-shifted cohomology table they are read from, the Bott dimensions on
-projective space, chase intervals around the exact values, the classification
-round trip, the arithmetic of dimension tables, their tightening against the
-integer points it must keep, and the split-bundle constructor, cohomology,
-twist and dual against their per-summand formulas, Serre duality on the line,
-the bundles and twisted sheaves the calculus builds against the constructor's
-normal form, the answers to a batch of queries with warm caches against
-those from cold ones, and the profile reader against the JSON shape it
-accepts."""
+hom_upper_bound and across its Koszul chase and that chase's Serre mirror,
+the Serre read of sheaf_cohomology against omega_cohomology read directly,
+the coresolving oracle against the resolving chase of its Serre dual pair,
+Hom and Ext of boundary and zero atoms against their omega_atom twins, Hom
+bounds against those of the pair twisted by a common divisor, the homvanish
+suite against a direct Hom bound of each pair it checks, the Kronecker report
+on random collections against a brute-force oracle in every degree, the
+Koszul and chase terms against the constructor's normal form, the checked
+size of a packed convolution against the integers it holds, Ext tables
+against the shifted cohomology table they are read from, the Bott dimensions
+on projective space, chase intervals around the exact values, the
+classification round trip, the arithmetic of dimension tables, their
+tightening against the integer points it must keep, and the split-bundle
+constructor, cohomology, twist and dual against their per-summand formulas,
+Serre duality on the line, the bundles and twisted sheaves the calculus
+builds against the constructor's normal form, the answers to a batch of
+queries with warm caches against those from cold ones, and the profile reader
+against the JSON shape it accepts."""
 
 from itertools import product
 from unittest import mock
@@ -30,13 +31,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_hook_degrees, brute_sym_degrees, dict_hook_sums
+from conftest import (brute_hook_degrees, brute_sym_degrees, coresolving_chase_oracle,
+                      dict_hook_sums)
 from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass, FormalSheaf,
                        Scroll, SplitBundle, chase_bounds, classify, duality_report,
                        ext_line_vs_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
-                       type_sheaf)
+                       sheaf_cohomology, type_sheaf)
 from scrollcoh import homext, p1, verify
 from scrollcoh.beilinson import _profile_entries
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
@@ -54,6 +56,29 @@ def test_omega_serre_duality(S, data, a, b):
     lhs = omega_cohomology(S, p, DivClass(a, b))
     rhs = omega_cohomology(S, S.n - p, DivClass(-a, -b - 2))
     assert lhs.values() == tuple(rhs.h(S.n + 1 - i) for i in range(S.n + 2))
+
+
+def _atom_sums(S):
+    # p in -1..n+1: both sides of the middle, Omega^n and zero atoms
+    atoms = st.builds(lambda p, a, b: Atom(p, DivClass(a, b)),
+                      st.integers(-1, S.n + 1), twists, twists)
+    return st.tuples(st.just(S), st.lists(st.tuples(atoms, st.integers(1, 3)),
+                                          max_size=4).map(FormalSheaf))
+
+
+@settings(deadline=None)
+@example((Scroll((1, 1, 1, 2)), FormalSheaf(((Atom(2, DivClass(3, -2)), 2),
+                                             (Atom(1, DivClass(-2, 1)), 1)))))
+@given(scrolls.flatmap(_atom_sums))
+def test_sheaf_cohomology_reads_each_atom_as_omega_cohomology(case):
+    # atoms with 2p > n are read off their Serre duals, reversed; the sum must
+    # be what omega_cohomology gives each atom read directly
+    S, sheaf = case
+    want = [0] * (S.n + 2)
+    for atom, mult in sheaf.terms:
+        for i, v in enumerate(omega_cohomology(S, atom.p, atom.twist).values()):
+            want[i] += mult * v
+    assert sheaf_cohomology(S, sheaf).values() == tuple(want)
 
 
 def _pushforward_oracle(S, p, a, b):
@@ -167,12 +192,12 @@ def test_hom_between_differentials_is_serre_dual_across_the_two_chases(S, data, 
 @given(st.lists(st.integers(1, 3), min_size=3, max_size=5).map(Scroll), st.integers(1, 4),
        st.integers(1, 4), twists, twists, twists, twists)
 def test_coresolving_chase_is_the_serre_dual_resolving_chase(S, p, q, a, b, c, d):
-    # the homext docstring's identity, chase by chase rather than on the
-    # intersected tables: the coresolving chase of (s, t) is the resolving
+    # the mirror hom_upper_bound reads, chase by chase rather than on the
+    # intersected tables: the coresolving oracle of (s, t) is the resolving
     # chase of (t, s(K)) read top-down, chi times (-1)^(n+1)
     s = Atom(min(p, S.n - 1), DivClass(a, b))
     t = Atom(min(q, S.n - 1), DivClass(c, d))
-    table = homext._chase_coresolving_source(S, s, t)
+    table = coresolving_chase_oracle(S, s, t)
     dual = homext._chase_resolving_target(S, t, Atom(s.p, s.twist + S.canonical))
     assert dual.bounds == tuple(reversed(table.bounds))
     assert dual.chi == (-1) ** (S.n + 1) * table.chi
@@ -218,7 +243,7 @@ def test_ext_reads_boundary_and_zero_atoms_as_their_omega_atom_twins(S, data, a,
 @given(scrolls, st.data(), twists, twists, twists, twists, twists, twists)
 def test_hom_bounds_depend_only_on_the_twist_difference(S, data, a, b, c, d, u, v):
     # Hom(A(L), B(L)) = Hom(A, B) for every pair, boundary and zero atoms and
-    # both Koszul chases included
+    # the Koszul chase and its Serre mirror included
     p, q = (data.draw(st.integers(-1, S.n + 1)) for _ in range(2))
     D, E, L = DivClass(a, b), DivClass(c, d), DivClass(u, v)
     assert (hom_upper_bound(S, Atom(p, D + L), Atom(q, E + L))
