@@ -99,9 +99,9 @@ def sheaf_cohomology(scroll: Scroll, sheaf: FormalSheaf) -> CohomTable:
     vals = [0] * (n + 2)
     for atom, mult in sheaf.terms:
         p, d = atom.p, atom.twist
-        coh = (omega_cohomology(scroll, p, d).values() if 2 * p <= n else
-               omega_cohomology(scroll, n - p, DivClass(-d.h, -d.f - 2)).values()[::-1])
-        vals = [x + mult * v for x, v in zip(vals, coh)]
+        q, e, step = (p, d, 1) if 2 * p <= n else (n - p, DivClass(-d.h, -d.f - 2), -1)
+        for i, v in enumerate(omega_cohomology(scroll, q, e).values()[::step]):
+            vals[i] += mult * v
     return CohomTable.exact(vals)
 
 
