@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 # Each submodule and the names the package exports from it.
 _EXPORTS = {
     "p1": ("SplitBundle", "hook_rank"),
-    "tables": ("CohomTable", "IndeterminateError", "intersect", "solve_quotient",
-               "solve_sub"),
+    "tables": ("CohomTable", "IndeterminateError", "intersect", "solve_quotient"),
     "scroll": ("DivClass", "F", "H", "Scroll", "line_cohomology"),
     "sheaves": ("Atom", "FormalSheaf", "ZERO_SHEAF", "atom_c1", "atom_rank", "deg_H",
                 "deg_slope", "dual_atom", "line_atom", "omega_atom", "sheaf_c1",

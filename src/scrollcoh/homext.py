@@ -82,7 +82,7 @@ def _chase_resolving_target(scroll: Scroll, source: Atom, target: Atom) -> Cohom
     # one p, and the twists in each term's own order: normal, so _normal skips the sort
     terms = [FormalSheaf._normal(tuple((Atom(hom.p, a.twist), m) for a, m in piece.terms))
              for piece in koszul_resolution(scroll, target.p, hom.twist)]
-    return chase_bounds(scroll, terms, solve="cokernel")
+    return chase_bounds(scroll, terms)
 
 
 def segre_ext1(scroll: Scroll, i: int, j: int) -> int:

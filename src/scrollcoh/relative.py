@@ -19,7 +19,7 @@ from operator import index
 from .p1 import SplitBundle, _elementary_sums, _pairs, hook_rank
 from .scroll import DivClass, Scroll
 from .sheaves import Atom, FormalSheaf
-from .tables import CohomTable, solve_quotient, solve_sub
+from .tables import CohomTable, solve_quotient
 
 
 def _bott(n: int, p: int, a: int) -> tuple[int, int, int] | None:
@@ -129,27 +129,19 @@ def koszul_resolution(scroll: Scroll, p: int, div: DivClass) -> list[FormalSheaf
             for k in range(n + 1, p, -1)]
 
 
-def chase_bounds(scroll: Scroll, terms, solve: str = "cokernel") -> CohomTable:
-    """Hypercohomology bounds for the object a finite exact complex resolves.
+def chase_bounds(scroll: Scroll, terms) -> CohomTable:
+    """Hypercohomology bounds for the object a finite resolution resolves.
 
-    ``terms`` lists the computable part of the complex from left to right;
-    each term must be a genuine atom sum so its cohomology is exact.  With
-    solve="cokernel" the unknown is the augmentation on the right (the terms
-    are a resolution); with solve="kernel" it is the kernel on the left (a
-    coresolution).  Entries the long-exact-sequence chase cannot pin down
-    stay intervals; chi is always exact.
+    ``terms`` lists the resolution from left to right, ending at the term
+    that maps onto the object; each term must be a genuine atom sum so its
+    cohomology is exact.  Entries the long-exact-sequence chase cannot pin
+    down stay intervals; chi is always exact.
     """
-    if solve not in ("cokernel", "kernel"):
-        raise ValueError("solve must be 'cokernel' or 'kernel'")
-    # One fold over short exact sequences, from the left for a cokernel and
-    # from the right for a kernel; from zero the first step is exact.
+    # One fold over short exact sequences from the left; from zero the first
+    # step is exact.
     acc = CohomTable.zero(scroll.n + 2)
-    if solve == "cokernel":
-        for term in terms:
-            acc = solve_quotient(acc, sheaf_cohomology(scroll, term))
-    else:
-        for term in reversed(terms):
-            acc = solve_sub(sheaf_cohomology(scroll, term), acc)
+    for term in terms:
+        acc = solve_quotient(acc, sheaf_cohomology(scroll, term))
     return acc
 
 

@@ -113,20 +113,6 @@ def _tightened(bounds: tuple[Bound, ...], chi: int) -> tuple[Bound, ...]:
     return tuple(out)
 
 
-def _solve(total: CohomTable, known: CohomTable, step: int) -> CohomTable:
-    # The unknown end of 0 -> A -> B -> C -> 0 from B and the known end: each
-    # of its dimensions is the image from B plus what the connecting map takes
-    # into degree i + step of the known end (A for step 1, C for step -1).
-    # Padded past the longer table, index i + step reads zero at both ends.
-    length = max(len(total), len(known))
-    t = total.bounds + ((0, 0),) * (length + 1 - len(total))
-    k = known.bounds + ((0, 0),) * (length + 1 - len(known))
-    chi = total.chi - known.chi
-    bounds = tuple((max(0, t[i][0] - k[i][1]) + max(0, k[i + step][0] - t[i + step][1]),
-                    t[i][1] + k[i + step][1]) for i in range(length))
-    return CohomTable(_tightened(bounds, chi), chi)
-
-
 def solve_quotient(sub: CohomTable, total: CohomTable) -> CohomTable:
     """Bounds for C in a short exact sequence 0 -> A -> B -> C -> 0.
 
@@ -135,12 +121,14 @@ def solve_quotient(sub: CohomTable, total: CohomTable) -> CohomTable:
     exact sequence alone, so the bounds hold for arbitrary connecting maps
     and collapse to exact values whenever one-sided vanishing forces it.
     """
-    return _solve(total, sub, 1)
-
-
-def solve_sub(total: CohomTable, quotient: CohomTable) -> CohomTable:
-    """Bounds for A in 0 -> A -> B -> C -> 0 given B and C."""
-    return _solve(total, quotient, -1)
+    # Padded past the longer table, index i + 1 reads zero in both.
+    length = max(len(total), len(sub))
+    t = total.bounds + ((0, 0),) * (length + 1 - len(total))
+    a = sub.bounds + ((0, 0),) * (length + 1 - len(sub))
+    chi = total.chi - sub.chi
+    bounds = tuple((max(0, t[i][0] - a[i][1]) + max(0, a[i + 1][0] - t[i + 1][1]),
+                    t[i][1] + a[i + 1][1]) for i in range(length))
+    return CohomTable(_tightened(bounds, chi), chi)
 
 
 def intersect(a: CohomTable, b: CohomTable) -> CohomTable:

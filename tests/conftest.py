@@ -6,7 +6,8 @@ and tableaux are enumerated cell by cell so the fast paths have something
 independent to agree with.  Where counts grow too large to enumerate, the
 dict-based hook convolution, which keeps every count as its own int, checks
 the packed one.  The coresolving Koszul chase checks the library's one chase
-read through Serre duality.
+read through Serre duality; it folds a kernel step written here, apart from
+the library's quotient step, so a fault in either shows as a disagreement.
 """
 
 import signal
@@ -14,8 +15,9 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from scrollcoh import FormalSheaf, Scroll, chase_bounds, koszul_resolution
+from scrollcoh import CohomTable, FormalSheaf, Scroll, koszul_resolution, sheaf_cohomology
 from scrollcoh.homext import _hom_atom
+from scrollcoh.tables import _tightened
 
 # the slowest test takes about 2 s on 2 vCPUs; a slow regression fails here
 # instead of hanging the run
@@ -137,13 +139,37 @@ def line_cohomology_oracle(scroll, div):
     return tuple(vals)
 
 
+def kernel_step(total, quotient):
+    """Bounds for A in 0 -> A -> B -> C -> 0 given B = total and C = quotient.
+
+    h^i(A) is the kernel of H^i(B) -> H^i(C), at least B^i - C^i and at most
+    B^i, plus the image of the connecting map H^{i-1}(C) -> H^i(A), at least
+    C^{i-1} - B^{i-1} and at most C^{i-1}; chi(A) = chi(B) - chi(C)."""
+    chi = total.chi - quotient.chi
+    bounds = tuple((max(0, total.lo(i) - quotient.hi(i))
+                    + max(0, quotient.lo(i - 1) - total.hi(i - 1)),
+                    total.hi(i) + quotient.hi(i - 1))
+                   for i in range(max(len(total), len(quotient))))
+    return CohomTable(_tightened(bounds, chi), chi)
+
+
+def kernel_chase(scroll, terms):
+    """Bounds for the kernel on the left of a finite exact complex of atom
+    sums, listed left to right: kernel_step folded from the right, where
+    from zero the first step is exact."""
+    acc = CohomTable.zero(scroll.n + 2)
+    for term in reversed(terms):
+        acc = kernel_step(sheaf_cohomology(scroll, term), acc)
+    return acc
+
+
 def coresolving_chase_oracle(scroll, source, target):
     """Bounds on Ext^k(source, target) for two genuine differentials by the
     route the library does not take: dualising the source's Koszul resolution
     coresolves source^v, and tensoring it with the target makes each line O(L)
-    the atom _hom_atom(O(L), target), its fibre twist reversed.  The kernel
-    fold of chase_bounds then bounds the unknown on the left."""
+    the atom _hom_atom(O(L), target), its fibre twist reversed.  kernel_chase
+    then bounds the unknown on the left."""
     terms = [FormalSheaf(tuple((_hom_atom(scroll, atom, target), mult)
                                for atom, mult in piece.terms))
              for piece in reversed(koszul_resolution(scroll, source.p, source.twist))]
-    return chase_bounds(scroll, terms, solve="kernel")
+    return kernel_chase(scroll, terms)

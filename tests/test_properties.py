@@ -15,7 +15,8 @@ on random collections against a brute-force oracle in every degree, the
 Koszul and chase terms against the constructor's normal form, the checked
 size of a packed convolution against the integers it holds, Ext tables
 against the shifted cohomology table they are read from, the Bott dimensions
-on projective space, chase intervals around the exact values, the
+on projective space, chase intervals around the exact values, each chase
+step over a zero middle term against the shift it must be, the
 classification round trip, the arithmetic of dimension tables, their
 tightening against the integer points it must keep, and the split-bundle
 constructor, cohomology, twist and dual against their per-summand formulas,
@@ -32,13 +33,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_hook_degrees, brute_sym_degrees, coresolving_chase_oracle,
-                      dict_hook_sums)
+                      dict_hook_sums, kernel_step)
 from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass, FormalSheaf,
                        Scroll, SplitBundle, chase_bounds, classify, duality_report,
                        ext_line_vs_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
-                       sheaf_cohomology, type_sheaf)
+                       sheaf_cohomology, solve_quotient, type_sheaf)
 from scrollcoh import homext, p1, verify
 from scrollcoh.beilinson import _profile_entries
 from scrollcoh.p1 import _expand, _hook_sums, _pairs
@@ -189,6 +190,7 @@ def test_hom_between_differentials_is_serre_dual_across_the_two_chases(S, data, 
 
 @settings(deadline=None)
 @example(Scroll((1, 1, 2)), 1, 1, 0, 0, 0, 0)
+@example(Scroll((1, 1, 3)), 1, 1, 0, 0, -1, 1)
 @given(st.lists(st.integers(1, 3), min_size=3, max_size=5).map(Scroll), st.integers(1, 4),
        st.integers(1, 4), twists, twists, twists, twists)
 def test_coresolving_chase_is_the_serre_dual_resolving_chase(S, p, q, a, b, c, d):
@@ -312,9 +314,9 @@ def test_koszul_and_chase_terms_are_what_the_constructor_makes(degrees, p, q, a,
     target = Atom(min(q, S.n - 1), DivClass(c, d))
     seen = list(koszul_resolution(S, source.p, source.twist))
 
-    def recording(scroll, terms, solve="cokernel"):
+    def recording(scroll, terms):
         seen.extend(terms)
-        return chase_bounds(scroll, terms, solve)
+        return chase_bounds(scroll, terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homext, "chase_bounds", recording)
@@ -495,6 +497,18 @@ def test_chase_bounds_contain_the_exact_value(S, p, a, b):
     assert all(bounds.lo(i) <= exact.h(i) <= bounds.hi(i) for i in range(S.n + 2))
     if p == S.n:
         assert bounds == exact
+
+
+@example((0, 1, 1))
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=6).map(tuple))
+def test_each_chase_step_over_a_zero_middle_term_is_a_shift(vals):
+    # in 0 -> A -> 0 -> C -> 0 the connecting maps H^{i-1}(C) -> H^i(A) are
+    # isomorphisms, so every dimension comes through the connecting term:
+    # the quotient step moves A down one degree, the kernel step C up one
+    sub = CohomTable.exact((0,) + vals[1:])
+    quotient = CohomTable.exact(vals[1:] + (0,))
+    assert solve_quotient(sub, CohomTable.zero(len(sub))) == quotient
+    assert kernel_step(CohomTable.zero(len(quotient)), quotient) == sub
 
 
 dims = st.lists(st.integers(0, 50), min_size=1, max_size=6)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import all_scrolls
+from conftest import all_scrolls, kernel_chase
 from scrollcoh import (Atom, CohomTable, DivClass, FormalSheaf, H, IndeterminateError, Scroll,
                        SplitBundle, ZERO_SHEAF, atom_c1, atom_rank, chase_bounds, dual_atom,
                        fiber_degree, hook_rank, intersect, koszul_resolution, line_atom,
@@ -183,16 +183,12 @@ def test_chase_kernel_mode_recovers_line_bundle():
     S = Scroll((1, 2))
     a = FormalSheaf.of(line_atom(H), line_atom(DivClass(0, 2)))
     b = FormalSheaf.of(line_atom(DivClass(0, 2)))
-    bounds = chase_bounds(S, [a, b], solve="kernel")
+    bounds = kernel_chase(S, [a, b])
     exact = sheaf_cohomology(S, FormalSheaf.of(line_atom(H)))
     assert bounds.chi == exact.chi
     for i in range(S.n + 2):
         lo, hi = bounds.bound(i)
         assert lo <= exact.h(i) <= hi
-    with pytest.raises(ValueError):
-        chase_bounds(S, [a], solve="sideways")
-    with pytest.raises(ValueError):
-        chase_bounds(S, [], solve="sideways")
 
 
 def test_sheaf_cohomology_additive_and_signed_rejected():
