@@ -29,7 +29,7 @@ _EXPORTS = {
     "relative": ("chase_bounds", "fiber_degree", "koszul_resolution",
                  "omega_cohomology", "pn_omega_cohomology", "rel_pushforward",
                  "sheaf_chi", "sheaf_cohomology"),
-    "homext": ("ext_line_vs_atom", "hom_upper_bound", "segre_ext1"),
+    "homext": ("hom_upper_bound", "segre_ext1"),
     "beilinson": ("BeilinsonTable", "Collection", "CollectionMember", "DualityReport",
                   "NotDiagonalError", "atom_label", "beilinson_table",
                   "beilinson_table_from_profile", "build_collections", "diagonal_type",

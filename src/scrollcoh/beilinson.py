@@ -19,10 +19,10 @@ from operator import index
 from types import MappingProxyType
 
 from ._value import value
-from .homext import ext_line_vs_atom
+from .homext import hom_upper_bound
 from .relative import sheaf_cohomology
 from .scroll import DivClass, Scroll
-from .sheaves import Atom, FormalSheaf, line_atom, omega_atom
+from .sheaves import Atom, FormalSheaf, dual_atom, line_atom, omega_atom
 from .tables import latex_table, md_table
 
 
@@ -89,10 +89,14 @@ class DualityReport:
 def duality_report(scroll: Scroll, e_collection: Collection,
                    f_collection: Collection) -> DualityReport:
     """Check the Kronecker pairing of two collections in every degree k:
-    dims[i][j] is the table h^0..h^{n+1} of L_i x F_j, E_i being L_i^*[-k_i],
-    and Ext^k(E_i, F_j) is its entry m = k + k_i; violations are sorted."""
-    rows = [[ext_line_vs_atom(scroll, em.atom, 0, fm.atom) for fm in f_collection]
-            for em in e_collection]
+    E_i is L_i^*[-k_i] for a line bundle L_i, dims[i][j] is the Hom table
+    Ext^0..Ext^{n+1}(L_i^*, F_j), and ``_grid`` places its entry m at
+    Ext^{m-k_i}(E_i, F_j); violations are sorted.  A genuine differential on
+    the E side raises ValueError."""
+    if any(0 < em.atom.p < scroll.n for em in e_collection):
+        raise ValueError("every member of the E side must be a (shifted) line bundle")
+    rows = [[hom_upper_bound(scroll, dual, fm.atom) for fm in f_collection]
+            for dual in (dual_atom(scroll, em.atom) for em in e_collection)]
     ext = {(i, j, k): d for i, (em, row) in enumerate(zip(e_collection, rows))
            for (j, k), d in _grid((table, em.shift) for table in row).items()}
     for i in range(min(len(e_collection), len(f_collection))):

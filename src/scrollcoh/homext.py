@@ -20,20 +20,6 @@ from .sheaves import Atom, FormalSheaf, dual_atom, omega_atom
 from .tables import CohomTable, intersect
 
 
-def ext_line_vs_atom(scroll: Scroll, source: Atom, shift: int, target: Atom) -> CohomTable:
-    """Exact Ext^k(L^*[-shift], target) for a line-bundle source L.
-
-    L is the source as ``omega_atom`` builds it, and the k-th entry is
-    h^{k+shift}(L x target); the table is long enough to absorb the shift.
-    """
-    if 0 < source.p < scroll.n:
-        raise ValueError("source must be a (shifted) line bundle")
-    line = omega_atom(scroll, source.p, source.twist)
-    coh = (CohomTable.zero(scroll.n + 2) if line is None
-           else omega_cohomology(scroll, target.p, target.twist + line.twist))
-    return CohomTable.exact((0,) * -shift + coh.values()[max(shift, 0):])
-
-
 def hom_upper_bound(scroll: Scroll, source: Atom, target: Atom) -> CohomTable:
     """Bounds on dim Ext^k(source, target) = h^k(source^v x target).
 

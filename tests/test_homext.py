@@ -3,9 +3,9 @@
 import pytest
 
 from conftest import all_scrolls, coresolving_chase_oracle
-from scrollcoh import (Atom, CohomTable, DivClass, H, Scroll, build_collections,
-                       ext_line_vs_atom, hom_upper_bound, line_atom, omega_atom,
-                       omega_cohomology, segre_ext1)
+from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass, H, Scroll,
+                       build_collections, dual_atom, duality_report, hom_upper_bound,
+                       line_atom, omega_atom, omega_cohomology, segre_ext1)
 
 
 def test_top_pairing_is_one_dimensional():
@@ -14,8 +14,8 @@ def test_top_pairing_is_one_dimensional():
     for S in [Scroll((1, 2)), Scroll((1, 1, 1)), Scroll((1, 1, 2, 3))]:
         e, f = build_collections(S)
         top = 2 * S.n + 1
-        table = ext_line_vs_atom(S, e[top].atom, e[top].shift, f[top].atom)
-        assert table.h(top) == 1
+        table = hom_upper_bound(S, dual_atom(S, e[top].atom), f[top].atom)
+        assert table.h(top + e[top].shift) == 1
         assert sum(table.values()) == 1
         # and the underlying sheaf really is the canonical bundle
         assert e[top].atom.twist + f[top].atom.twist == S.canonical
@@ -23,20 +23,24 @@ def test_top_pairing_is_one_dimensional():
 
 def test_ext_of_structure_sheaf():
     S = Scroll((1, 2, 3))
-    table = ext_line_vs_atom(S, line_atom(DivClass(0, 0)), 0, line_atom(DivClass(0, 0)))
+    O = line_atom(DivClass(0, 0))
+    table = hom_upper_bound(S, dual_atom(S, O), O)
     assert table.h(0) == 1
     assert sum(table.values()) == 1
 
 
-def test_ext_line_vs_atom_requires_line_source():
+def test_duality_report_requires_line_bundles_on_the_e_side():
     S = Scroll((1, 1, 1, 1))
+    e, f = build_collections(S)
+    member = CollectionMember(omega_atom(S, 1, DivClass(0, 0)))
     with pytest.raises(ValueError):
-        ext_line_vs_atom(S, omega_atom(S, 1, DivClass(0, 0)), 0, line_atom(DivClass(0, 0)))
+        duality_report(S, Collection("E", (member, *e.members[1:])), f)
 
 
 def test_boundary_and_zero_atoms_are_read_as_omega_atom_builds_them():
     # Omega^n is the line bundle O(D + K_rel) and p outside 0..n the zero
-    # sheaf; each of these once raised, in a chase or in the line-source check
+    # sheaf; each of these once raised, in a chase or in the line-source check,
+    # and a dual source of either is read the same way
     S = Scroll((1, 1, 2))
     K, O = Atom(2, DivClass()), DivClass()
     assert hom_upper_bound(S, K, K).bounds == ((1, 1), (0, 0), (0, 0), (0, 0))
@@ -45,8 +49,8 @@ def test_boundary_and_zero_atoms_are_read_as_omega_atom_builds_them():
         S, omega_atom(S, 2, O), Atom(1, H))
     assert hom_upper_bound(S, Atom(1, O), Atom(7, O)) == CohomTable.zero(S.n + 2)
     assert hom_upper_bound(S, Atom(-1, O), Atom(-1, O)) == CohomTable.zero(S.n + 2)
-    assert ext_line_vs_atom(S, Atom(2, H), 0, Atom(1, H)) == CohomTable.zero(S.n + 2)
-    assert ext_line_vs_atom(S, Atom(7, H), 1, Atom(1, H)).values() == (0,) * (S.n + 1)
+    assert hom_upper_bound(S, dual_atom(S, Atom(2, H)), Atom(1, H)) == CohomTable.zero(S.n + 2)
+    assert hom_upper_bound(S, dual_atom(S, Atom(7, H)), Atom(1, H)) == CohomTable.zero(S.n + 2)
 
 
 def test_off_pairing_vanishes():
@@ -56,7 +60,7 @@ def test_off_pairing_vanishes():
             for j, fm in enumerate(f):
                 if i == j:
                     continue
-                table = ext_line_vs_atom(S, em.atom, em.shift, fm.atom)
+                table = hom_upper_bound(S, dual_atom(S, em.atom), fm.atom)
                 assert sum(table.values()) == 0, (S.degrees, i, j)
 
 

@@ -36,7 +36,7 @@ from conftest import (brute_hook_degrees, brute_sym_degrees, coresolving_chase_o
                       dict_hook_sums, kernel_step)
 from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass, FormalSheaf,
                        Scroll, SplitBundle, chase_bounds, classify, duality_report,
-                       ext_line_vs_atom, hom_upper_bound, hook_rank,
+                       dual_atom, hom_upper_bound, hook_rank,
                        koszul_resolution, line_atom, line_cohomology, omega_atom,
                        omega_cohomology, intersect, pn_omega_cohomology, rel_pushforward,
                        sheaf_cohomology, solve_quotient, type_sheaf)
@@ -151,15 +151,13 @@ def test_omega_cohomology_reads_the_untwisted_hook(S, data):
 
 
 @given(scrolls, st.data(), twists, twists, twists, twists)
-def test_ext_line_vs_atom_reads_the_shifted_table(S, data, a, b, c, d):
-    # Ext^k(O(-D)[-shift], Omega^p(D')) = h^{k+shift}(Omega^p(D + D')), zero
-    # below degree 0, for shifts on both sides of zero and past either end
+def test_hom_from_a_dual_line_reads_the_twisted_table(S, data, a, b, c, d):
+    # Ext^k(O(-D), Omega^p(D')) = h^k(Omega^p(D + D')) for p in 0..n, the
+    # table the Kronecker check places by each member's shift
     p = data.draw(st.integers(0, S.n))
-    shift = data.draw(st.integers(-(2 * S.n + 3), S.n + 3))
     source, target = line_atom(DivClass(a, b)), Atom(p, DivClass(c, d))
-    coh = omega_cohomology(S, p, DivClass(a + c, b + d))
-    want = tuple(coh.h(k + shift) for k in range(S.n + 2 - shift))
-    assert ext_line_vs_atom(S, source, shift, target).values() == want
+    want = omega_cohomology(S, p, DivClass(a + c, b + d))
+    assert hom_upper_bound(S, dual_atom(S, source), target) == want
 
 
 @given(scrolls, st.data(), twists, twists, twists, twists)
@@ -222,23 +220,6 @@ def test_hom_reads_boundary_and_zero_atoms_as_their_omega_atom_twins(S, data, a,
     twins = omega_atom(S, p, source.twist), omega_atom(S, q, target.twist)
     want = CohomTable.zero(S.n + 2) if None in twins else hom_upper_bound(S, *twins)
     assert hom_upper_bound(S, source, target) == want
-
-
-@given(scrolls, st.data(), twists, twists, twists, twists)
-def test_ext_reads_boundary_and_zero_atoms_as_their_omega_atom_twins(S, data, a, b, c, d):
-    # a line, Omega^n or zero source against any target, at any shift
-    p = data.draw(st.one_of(st.just(0), _boundary_p(S)))
-    q = data.draw(st.integers(-2, S.n + 2))
-    shift = data.draw(st.integers(-(S.n + 3), S.n + 3))
-    source, target = Atom(p, DivClass(a, b)), Atom(q, DivClass(c, d))
-    twins = omega_atom(S, p, source.twist), omega_atom(S, q, target.twist)
-    if None in twins:
-        # the zero table of the same length as any other at this shift
-        O = line_atom(DivClass())
-        want = ext_line_vs_atom(S, O, shift, O).scaled(0)
-    else:
-        want = ext_line_vs_atom(S, twins[0], shift, twins[1])
-    assert ext_line_vs_atom(S, source, shift, target) == want
 
 
 @settings(deadline=None)
