@@ -30,10 +30,10 @@ _EXPORTS = {
                  "omega_cohomology", "pn_omega_cohomology", "rel_pushforward",
                  "sheaf_chi", "sheaf_cohomology"),
     "homext": ("hom_upper_bound", "segre_ext1"),
-    "beilinson": ("BeilinsonTable", "Collection", "CollectionMember", "DualityReport",
-                  "NotDiagonalError", "atom_label", "beilinson_table",
-                  "beilinson_table_from_profile", "build_collections", "diagonal_type",
-                  "duality_report", "sigma", "verify_duality"),
+    "beilinson": ("BeilinsonTable", "CollectionMember", "DualityReport", "NotDiagonalError",
+                  "atom_label", "beilinson_table", "beilinson_table_from_profile",
+                  "build_collections", "diagonal_type", "duality_report", "sigma",
+                  "verify_duality"),
     "ulrich": ("NotUlrichError", "TypeInfo", "UlrichVerdict", "block", "block_atom",
                "classify", "enumerate_types", "is_ulrich", "type_info", "type_sheaf",
                "veronese_classify", "veronese_table"),

@@ -42,23 +42,9 @@ class CollectionMember:
     shift: int = 0
 
 
-@value
-class Collection:
-    flavor: str
-    members: tuple[CollectionMember, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, idx: int) -> CollectionMember:
-        return self.members[idx]
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def build_collections(scroll: Scroll) -> tuple[Collection, Collection]:
-    """The length 2n+2 exceptional collection and its right dual.
+def build_collections(scroll: Scroll) -> tuple[tuple[CollectionMember, ...], ...]:
+    """The length 2n+2 exceptional collection and its right dual, as the
+    member tuples (E, F).
 
     Members of the E side are stored as (bundle, shift), the collection
     object being the shifted dual of the stored bundle; members 0 and 1 are
@@ -76,7 +62,7 @@ def build_collections(scroll: Scroll) -> tuple[Collection, Collection]:
     for t in range(1, scroll.n + 1):
         f.append(CollectionMember(omega_atom(scroll, t, DivClass.from_pair(t - 1, t))))
         f.append(CollectionMember(omega_atom(scroll, t, DivClass.from_pair(t - 2, t))))
-    return Collection("E", tuple(e)), Collection("F", tuple(f))
+    return tuple(e), tuple(f)
 
 
 @value
@@ -86,8 +72,8 @@ class DualityReport:
     dims: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def duality_report(scroll: Scroll, e_collection: Collection,
-                   f_collection: Collection) -> DualityReport:
+def duality_report(scroll: Scroll, e_collection: tuple[CollectionMember, ...],
+                   f_collection: tuple[CollectionMember, ...]) -> DualityReport:
     """Check the Kronecker pairing of two collections in every degree k:
     E_i is L_i^*[-k_i] for a line bundle L_i, dims[i][j] is the Hom table
     Ext^0..Ext^{n+1}(L_i^*, F_j), and ``_grid`` places its entry m at
@@ -199,7 +185,7 @@ class BeilinsonTable:
                            [[f"${self.e_labels_tex[j]}$" for j in cols]])
 
 
-def _frame(e: Collection, f: Collection) -> dict:
+def _frame(e: tuple[CollectionMember, ...], f: tuple[CollectionMember, ...]) -> dict:
     """The shifts and labels of the table on the collections e and f: every
     field but its entries."""
     def shifted(member: CollectionMember, latex: bool) -> str:

@@ -15,8 +15,8 @@ from math import prod
 
 from .beilinson import _block_columns, build_collections, verify_duality
 from .homext import hom_upper_bound
-from .p1 import MAX_SUMMANDS, _check_limit
-from .relative import koszul_resolution, omega_cohomology, pn_omega_cohomology, sheaf_chi
+from .p1 import MAX_SUMMANDS, _check_limit, hook_rank
+from .relative import _bott, koszul_resolution, omega_cohomology, sheaf_chi
 from .scroll import DivClass, Scroll
 from .sheaves import omega_atom
 from .ulrich import block, is_ulrich
@@ -80,9 +80,12 @@ def _largest_listed_hook(scroll: Scroll) -> int:
     """The largest rank of a bundle chi_oracle lists or convolves: the
     pushforward R^{q0} of Omega^p(aH) at a grid point has rank
     h^{q0}(P^n, Omega^p(a)), the lines O((a - k)H) its Koszul resolutions
-    hold reach no more, and fibre twists leave every rank alone."""
+    hold reach no more, and fibre twists leave every rank alone.  For p < n
+    the sections rank grows with a and the top regime's with -a, and the
+    trace line's is 1, so the grid's two extreme twists reach the largest."""
     ps, twists, _ = koszul_grid(scroll)
-    return max(max(pn_omega_cohomology(scroll.n, p, a).values()) for p in ps for a in twists)
+    n, ends = scroll.n, (twists[0], twists[-1])
+    return max(hook_rank(n + 1, *_bott(n, p, a)[1:]) for p in ps for a in ends)
 
 
 def chi_oracle(scroll: Scroll):

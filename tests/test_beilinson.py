@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from scrollcoh import (Atom, BeilinsonTable, Collection, CollectionMember, DivClass, F,
+from scrollcoh import (Atom, BeilinsonTable, CollectionMember, DivClass, F,
                        FormalSheaf, H, NotDiagonalError, Scroll, beilinson_table,
                        beilinson_table_from_profile, block, block_atom,
                        build_collections, diagonal_type, duality_report, line_atom,
@@ -82,9 +82,9 @@ def test_duality_negative_control():
     # swapping two dual members must fail loudly with named violations
     S = Scroll((1, 1, 2))
     e, f = build_collections(S)
-    swapped = list(f.members)
+    swapped = list(f)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    report = duality_report(S, e, Collection("F", tuple(swapped)))
+    report = duality_report(S, e, tuple(swapped))
     assert not report.passed
     assert report.violations
     assert all(len(v) == 4 for v in report.violations)
@@ -102,8 +102,7 @@ def test_each_block_twisted_down_is_the_dual_member_at_its_block_column():
 
 
 def _pairing(S, e_member, f_atom):
-    return duality_report(S, Collection("E", (e_member,)),
-                          Collection("F", (CollectionMember(f_atom),)))
+    return duality_report(S, (e_member,), (CollectionMember(f_atom),))
 
 
 def test_duality_checks_negative_degrees():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import all_scrolls, coresolving_chase_oracle
-from scrollcoh import (Atom, CohomTable, Collection, CollectionMember, DivClass, H, Scroll,
+from scrollcoh import (Atom, CohomTable, CollectionMember, DivClass, H, Scroll,
                        build_collections, dual_atom, duality_report, hom_upper_bound,
                        line_atom, omega_atom, omega_cohomology, segre_ext1)
 
@@ -34,7 +34,7 @@ def test_duality_report_requires_line_bundles_on_the_e_side():
     e, f = build_collections(S)
     member = CollectionMember(omega_atom(S, 1, DivClass(0, 0)))
     with pytest.raises(ValueError):
-        duality_report(S, Collection("E", (member, *e.members[1:])), f)
+        duality_report(S, (member, *e[1:]), f)
 
 
 def test_boundary_and_zero_atoms_are_read_as_omega_atom_builds_them():

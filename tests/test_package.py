@@ -100,7 +100,7 @@ print(json.dumps([sorted(set(scrollcoh.__all__) - set(ns)), len(scrollcoh.__all_
                   raised, refused]))
 """
     missing, count, raised, refused = fresh(code)
-    assert missing == [] and count == 58
+    assert missing == [] and count == 57
     assert raised and refused
 
 

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scrollcoh import (H, Atom, BeilinsonTable, CohomTable, Collection,
-                       CollectionMember, DivClass, DualityReport, FormalSheaf,
-                       Scroll, SplitBundle, TypeInfo, UlrichVerdict,
+from scrollcoh import (H, Atom, BeilinsonTable, CohomTable, CollectionMember,
+                       DivClass, DualityReport, FormalSheaf, Scroll, SplitBundle,
+                       TypeInfo, UlrichVerdict,
                        beilinson_table, block_atom, enumerate_types, fiber_degree,
                        hook_rank, is_ulrich, koszul_resolution, omega_atom,
                        omega_cohomology, pn_omega_cohomology, segre_ext1, sigma,
@@ -42,7 +42,7 @@ def _public_values():
     return [
         SplitBundle((1, 2)), DivClass(1, 2), S, CohomTable.exact((1, 0, 0)),
         Atom(1, DivClass(0, 1)), FormalSheaf.of(Atom(0, DivClass(1, 0))),
-        e[0], e, verify_duality(S), beilinson_table(S, type_sheaf(S, (1, 0))),
+        e[0], verify_duality(S), beilinson_table(S, type_sheaf(S, (1, 0))),
         veronese_table(2, atom=(1, 1)), is_ulrich(S, type_sheaf(S, (1, 1))),
         type_info(S, (1, 1)),
     ]
@@ -51,7 +51,7 @@ def _public_values():
 def test_every_public_value_type_is_covered():
     covered = {type(v) for v in _public_values()}
     assert covered == {SplitBundle, DivClass, Scroll, CohomTable, Atom,
-                       FormalSheaf, CollectionMember, Collection,
+                       FormalSheaf, CollectionMember,
                        DualityReport, BeilinsonTable, UlrichVerdict, TypeInfo}
 
 
@@ -209,7 +209,7 @@ def _bad_calls(obj):
             yield f"no {name}", (), {n: v for n, v in every.items() if n != name}
 
 
-_CONSTRUCTED = tuple(_TWINS) + (FormalSheaf, CollectionMember, Collection)
+_CONSTRUCTED = tuple(_TWINS) + (FormalSheaf, CollectionMember)
 
 
 @pytest.mark.parametrize("obj", [v for v in _public_values() if type(v) in _CONSTRUCTED],
@@ -354,7 +354,6 @@ GOOD = {
     "Atom": lambda: (1, D(0, 1)),
     "FormalSheaf": lambda: (((sc.Atom(1, D(0, 1)), 2), (sc.Atom(0, D(1, 0)), 1)),),
     "CollectionMember": lambda: (sc.Atom(0, D(1, 0)), 1),
-    "Collection": lambda: ("E", (sc.CollectionMember(sc.Atom(0, D())),)),
     "DualityReport": lambda: (True, (), (((1, 0),),)),
     "BeilinsonTable": lambda: ((0, 1), ("a", "b"), ("c", "d"), {(0, 0): 2},
                                ("A", "B"), ("C", "D")),

@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from scrollcoh import CohomTable, Scroll, SplitBundle, UlrichVerdict, omega_cohomology
+from scrollcoh import (CohomTable, Scroll, SplitBundle, UlrichVerdict, omega_cohomology,
+                       pn_omega_cohomology)
 from scrollcoh import p1, verify
 from scrollcoh.cli import SUITE_NAMES, main
 from scrollcoh.p1 import MAX_SUMMANDS, hook_rank
@@ -70,6 +71,23 @@ def test_chi_oracle_convolves_no_hook_above_the_largest_it_lists(monkeypatch, de
     assert hooks
     largest = verify._largest_listed_hook(S)
     assert all(hook_rank(len(degs), m, p) <= largest for degs, m, p in hooks)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_largest_listed_hook_is_the_largest_bott_entry_on_the_grid(monkeypatch, n):
+    # the oracle scans the Bott table of every grid point; the read takes the
+    # regimes at the two extreme twists and builds no table
+    for S in (Scroll((1,) * (n + 1)), Scroll((1,) * n + (n + 2,))):
+        ps, twists, _ = verify.koszul_grid(S)
+        want = max(max(pn_omega_cohomology(n, p, a).values()) for p in ps for a in twists)
+        with monkeypatch.context() as m:
+            for name in ("__init__", "_normal"):
+                m.setattr(CohomTable, name, _no_table)
+            assert verify._largest_listed_hook(S) == want, S.degrees
+
+
+def _no_table(*args):
+    raise AssertionError("a CohomTable was built")
 
 
 def test_chi_oracle_admits_n_8_and_refuses_n_9():
